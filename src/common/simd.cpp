@@ -32,8 +32,8 @@ void axpy_code_i64_scalar(std::int64_t* acc, const std::int64_t* src,
   for (std::int64_t i = 0; i < n; ++i) acc[i] += w * src[i];
 }
 
-void axpy_w32_scalar(std::int64_t* acc, const std::int32_t* w, std::int64_t a,
-                     std::int64_t n) {
+void axpy_w8_scalar(std::int64_t* acc, const std::int8_t* w, std::int64_t a,
+                    std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) acc[i] += a * w[i];
 }
 
@@ -42,7 +42,7 @@ void add_i64_scalar(std::int64_t* acc, const std::int64_t* src,
   for (std::int64_t i = 0; i < n; ++i) acc[i] += src[i];
 }
 
-constexpr Kernels kScalarKernels{axpy_code_i64_scalar, axpy_w32_scalar,
+constexpr Kernels kScalarKernels{axpy_code_i64_scalar, axpy_w8_scalar,
                                  add_i64_scalar, "scalar"};
 
 // ---------------------------------------------------------------------------
@@ -81,33 +81,28 @@ __attribute__((target("avx2"))) void axpy_code_i64_avx2(
   for (; i < n; ++i) acc[i] += w * src[i];
 }
 
-__attribute__((target("avx2"))) void axpy_w32_avx2(std::int64_t* acc,
-                                                   const std::int32_t* w,
-                                                   std::int64_t a,
-                                                   std::int64_t n) {
-  // |a * w[i]| < 2^31, so the 32-bit low multiply is exact; widen to int64
-  // lanes before accumulating.
-  const __m128i va = _mm_set1_epi32(static_cast<std::int32_t>(a));
+__attribute__((target("avx2"))) void axpy_w8_avx2(std::int64_t* acc,
+                                                  const std::int8_t* w,
+                                                  std::int64_t a,
+                                                  std::int64_t n) {
+  // Eight weights per step: sign-extend the bytes to int32 lanes, multiply
+  // by the code in 32 bits (exact: |a * w[i]| < 2^31), then widen each half
+  // to int64 lanes before accumulating.
+  const __m256i va = _mm256_set1_epi32(static_cast<std::int32_t>(a));
   std::int64_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    __m128i w0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(w + i));
-    __m128i w1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(w + i + 4));
-    __m128i p0 = _mm_mullo_epi32(w0, va);
-    __m128i p1 = _mm_mullo_epi32(w1, va);
+    const __m128i w8 =
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(w + i));
+    const __m256i p = _mm256_mullo_epi32(_mm256_cvtepi8_epi32(w8), va);
     __m256i a0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
     __m256i a1 =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i + 4));
-    a0 = _mm256_add_epi64(a0, _mm256_cvtepi32_epi64(p0));
-    a1 = _mm256_add_epi64(a1, _mm256_cvtepi32_epi64(p1));
+    const __m128i p_lo = _mm256_castsi256_si128(p);
+    const __m128i p_hi = _mm256_extracti128_si256(p, 1);
+    a0 = _mm256_add_epi64(a0, _mm256_cvtepi32_epi64(p_lo));
+    a1 = _mm256_add_epi64(a1, _mm256_cvtepi32_epi64(p_hi));
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i), a0);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i + 4), a1);
-  }
-  for (; i + 4 <= n; i += 4) {
-    __m128i wv = _mm_loadu_si128(reinterpret_cast<const __m128i*>(w + i));
-    __m128i p = _mm_mullo_epi32(wv, va);
-    __m256i av = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
-    av = _mm256_add_epi64(av, _mm256_cvtepi32_epi64(p));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i), av);
   }
   for (; i < n; ++i) acc[i] += a * w[i];
 }
@@ -125,7 +120,7 @@ __attribute__((target("avx2"))) void add_i64_avx2(std::int64_t* acc,
   for (; i < n; ++i) acc[i] += src[i];
 }
 
-constexpr Kernels kAvx2Kernels{axpy_code_i64_avx2, axpy_w32_avx2, add_i64_avx2,
+constexpr Kernels kAvx2Kernels{axpy_code_i64_avx2, axpy_w8_avx2, add_i64_avx2,
                                "avx2"};
 
 #endif  // RSNN_SIMD_X86
@@ -153,15 +148,23 @@ void axpy_code_i64_neon(std::int64_t* acc, const std::int64_t* src,
   for (; i < n; ++i) acc[i] += w * src[i];
 }
 
-void axpy_w32_neon(std::int64_t* acc, const std::int32_t* w, std::int64_t a,
-                   std::int64_t n) {
+void axpy_w8_neon(std::int64_t* acc, const std::int8_t* w, std::int64_t a,
+                  std::int64_t n) {
+  // Eight weights per step: widen the bytes to int16 then int32 lanes and
+  // do widening 32x32 multiply-accumulates into four int64x2 accumulators.
   const int32x2_t va = vdup_n_s32(static_cast<std::int32_t>(a));
   std::int64_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    int32x2_t wv = vld1_s32(w + i);
-    int64x2_t av = vld1q_s64(acc + i);
-    av = vmlal_s32(av, wv, va);
-    vst1q_s64(acc + i, av);
+  for (; i + 8 <= n; i += 8) {
+    const int16x8_t w16 = vmovl_s8(vld1_s8(w + i));
+    const int32x4_t lo = vmovl_s16(vget_low_s16(w16));
+    const int32x4_t hi = vmovl_s16(vget_high_s16(w16));
+    vst1q_s64(acc + i, vmlal_s32(vld1q_s64(acc + i), vget_low_s32(lo), va));
+    vst1q_s64(acc + i + 2,
+              vmlal_s32(vld1q_s64(acc + i + 2), vget_high_s32(lo), va));
+    vst1q_s64(acc + i + 4,
+              vmlal_s32(vld1q_s64(acc + i + 4), vget_low_s32(hi), va));
+    vst1q_s64(acc + i + 6,
+              vmlal_s32(vld1q_s64(acc + i + 6), vget_high_s32(hi), va));
   }
   for (; i < n; ++i) acc[i] += a * w[i];
 }
@@ -174,7 +177,7 @@ void add_i64_neon(std::int64_t* acc, const std::int64_t* src, std::int64_t n) {
   for (; i < n; ++i) acc[i] += src[i];
 }
 
-constexpr Kernels kNeonKernels{axpy_code_i64_neon, axpy_w32_neon, add_i64_neon,
+constexpr Kernels kNeonKernels{axpy_code_i64_neon, axpy_w8_neon, add_i64_neon,
                                "neon"};
 
 #endif  // RSNN_SIMD_NEON

@@ -1,7 +1,7 @@
 // SIMD dispatch for the simulator fast path's integer inner loops.
 //
 // The fast-path kernels (hw/fast_path) spend their time in three tiny
-// integer primitives: saxpy over int64 activation codes, saxpy with int32
+// integer primitives: saxpy over int64 activation codes, saxpy with int8
 // prepared weights widened into int64 accumulators, and elementwise int64
 // accumulation. This module provides hand-vectorized implementations of
 // those primitives (AVX2 on x86-64, NEON on AArch64) behind one function-
@@ -17,9 +17,14 @@
 // Value ranges: `axpy_code_i64` requires the source elements and the scalar
 // multiplier to fit in int32 (activation codes are unsigned T-bit values and
 // weights are `weight_bits`-bit signed — both orders of magnitude inside
-// that bound); `axpy_w32` requires |a * w[i]| to fit in int32 (T-bit code
-// times a quantized weight; the hardware's own 24-bit accumulators bound
-// this far below 2^31). Both are RSNN_DCHECKed at the call sites.
+// that bound); `axpy_w8` requires |a * w[i]| to fit in int32, because the
+// vector bodies multiply in 32-bit lanes. Nothing checks that per call; the
+// bound is established once, upstream: `quant::quantize` and
+// `quant::load_quantized` reject T outside 1..16 and weight_bits outside
+// 1..8, and `hw::prepare_fast_path` refuses T outside 1..16 and any weight
+// outside int8 (so a hand-built network cannot slip past either). A code
+// is therefore at most 2^16 - 1 and |w| at most 128, and
+// (2^16 - 1) * 128 < 2^31.
 //
 // Dispatch control:
 //   * RSNN_FORCE_SCALAR=1 in the environment forces the scalar kernels for
@@ -38,9 +43,9 @@ struct Kernels {
   /// product is computed exactly in int64).
   void (*axpy_code_i64)(std::int64_t* acc, const std::int64_t* src,
                         std::int64_t w, std::int64_t n);
-  /// acc[i] += a * w[i] with int32 weights. Requires |a * w[i]| < 2^31.
-  void (*axpy_w32)(std::int64_t* acc, const std::int32_t* w, std::int64_t a,
-                   std::int64_t n);
+  /// acc[i] += a * w[i] with int8 weights. Requires |a * w[i]| < 2^31.
+  void (*axpy_w8)(std::int64_t* acc, const std::int8_t* w, std::int64_t a,
+                  std::int64_t n);
   /// acc[i] += src[i] (exact int64 addition).
   void (*add_i64)(std::int64_t* acc, const std::int64_t* src, std::int64_t n);
   /// Name of the instruction set these kernels use: "avx2", "neon", "scalar".

@@ -350,7 +350,7 @@ bool ServingPool::admit(TensorI&& codes, const RequestOptions& request,
   return true;
 }
 
-std::future<ServingResult> ServingPool::submit(Request request,
+std::future<ServingResult> ServingPool::submit(Request&& request,
                                                bool* admitted) {
   // Routing backstop: a request explicitly addressed to a different model
   // never queues here. The registry routes before this check; it exists so

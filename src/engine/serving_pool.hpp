@@ -301,8 +301,10 @@ class ServingPool {
   /// queue blocks (kFifo/kBatch) and may evict the newest undispatched
   /// bulk request to admit latency-class work (degradation order: bulk
   /// first). `admitted`, when given, reports whether the request entered
-  /// the queue (false = the returned future is already resolved).
-  std::future<ServingResult> submit(Request request,
+  /// the queue (false = the returned future is already resolved). A
+  /// request that is not admitted is left intact, so a router can offer it
+  /// to another pool.
+  std::future<ServingResult> submit(Request&& request,
                                     bool* admitted = nullptr);
 
   /// Thin wrapper over submit(Request): admit one request of pre-encoded

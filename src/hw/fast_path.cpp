@@ -289,7 +289,7 @@ std::int64_t hwc_strip_height(std::int64_t iw, std::int64_t cin,
 /// loop handed to the SIMD dispatch table.
 void conv_hwc(const QConv2d& conv, const std::int64_t* in, std::int64_t ih,
               std::int64_t iw, std::int64_t oh, std::int64_t ow,
-              const std::int32_t* whwc, int time_bits, const Kernels& K,
+              const std::int8_t* whwc, int time_bits, const Kernels& K,
               common::Arena& arena, std::int64_t* out_hwc) {
   const std::int64_t cin = conv.in_channels, cout = conv.out_channels;
   const std::int64_t k = conv.kernel, str = conv.stride, pad = conv.padding;
@@ -323,14 +323,14 @@ void conv_hwc(const QConv2d& conv, const std::int64_t* in, std::int64_t ih,
             const std::int64_t ix = ox * str + kx - pad;
             if (ix < 0 || ix >= iw) continue;
             const std::int64_t* px = tile + ((iy - ty0) * iw + ix) * cin;
-            const std::int32_t* wk = whwc + (ky * k + kx) * cin * cout;
+            const std::int8_t* wk = whwc + (ky * k + kx) * cin * cout;
             for (std::int64_t ic = 0; ic < cin; ++ic) {
               const std::int64_t a = px[ic];
               if (a == 0) continue;
               // [cin][cout] rows are contiguous across taps, so the
               // prefetch rolls into the next tap's tile at block ends.
               prefetch_ro(wk + (ic + kPrefetchRows) * cout);
-              K.axpy_w32(acc, wk + ic * cout, a, cout);
+              K.axpy_w8(acc, wk + ic * cout, a, cout);
             }
           }
         }
@@ -355,7 +355,7 @@ void conv_hwc(const QConv2d& conv, const std::int64_t* in, std::int64_t ih,
 /// (finished codes, contiguous per image).
 void conv_hwc_batched(const QConv2d& conv, const std::int64_t* in,
                       std::int64_t ih, std::int64_t iw, std::int64_t oh,
-                      std::int64_t ow, const std::int32_t* whwc, int time_bits,
+                      std::int64_t ow, const std::int8_t* whwc, int time_bits,
                       std::int64_t batch, const Kernels& K,
                       common::Arena& arena, std::int64_t* out_hwcb) {
   const std::int64_t cin = conv.in_channels, cout = conv.out_channels;
@@ -394,15 +394,15 @@ void conv_hwc_batched(const QConv2d& conv, const std::int64_t* in,
             if (ix < 0 || ix >= iw) continue;
             const std::int64_t* px =
                 tile + ((iy - ty0) * iw + ix) * cin * batch;
-            const std::int32_t* wk = whwc + (ky * k + kx) * cin * cout;
+            const std::int8_t* wk = whwc + (ky * k + kx) * cin * cout;
             for (std::int64_t ic = 0; ic < cin; ++ic) {
-              const std::int32_t* wrow = wk + ic * cout;
+              const std::int8_t* wrow = wk + ic * cout;
               const std::int64_t* a_b = px + ic * batch;
               prefetch_ro(wrow + kPrefetchRows * cout);
               for (std::int64_t b = 0; b < batch; ++b) {
                 const std::int64_t a = a_b[b];
                 if (a == 0) continue;
-                K.axpy_w32(acc + b * cout, wrow, a, cout);
+                K.axpy_w8(acc + b * cout, wrow, a, cout);
               }
             }
           }
@@ -468,7 +468,7 @@ void pool_plane_batched(const std::int64_t* plane, std::int64_t iw,
 /// codes (no spikes) skip their whole weight row; live rows are one
 /// contiguous SIMD axpy over the output features.
 void linear_fast(const QLinear& fc, const std::int64_t* in,
-                 const std::int32_t* wt, int time_bits, const Kernels& K,
+                 const std::int8_t* wt, int time_bits, const Kernels& K,
                  std::int64_t* out) {
   const std::int64_t nin = fc.in_features, nout = fc.out_features;
   std::fill(out, out + nout, std::int64_t{0});
@@ -476,7 +476,7 @@ void linear_fast(const QLinear& fc, const std::int64_t* in,
     const std::int64_t a = in[i];
     if (a == 0) continue;
     prefetch_ro(wt + (i + kPrefetchRows) * nout);
-    K.axpy_w32(out, wt + i * nout, a, nout);
+    K.axpy_w8(out, wt + i * nout, a, nout);
   }
   const std::int64_t* bias = fc.bias.data();
   if (!fc.requantize) {
@@ -495,19 +495,19 @@ void linear_fast(const QLinear& fc, const std::int64_t* in,
 /// resident — the weight matrix is streamed once per batch instead of once
 /// per image. Output is re-interleaved image-minor into `out`.
 void linear_fast_batched(const QLinear& fc, const std::int64_t* in,
-                         const std::int32_t* wt, int time_bits,
+                         const std::int8_t* wt, int time_bits,
                          std::int64_t batch, const Kernels& K,
                          std::int64_t* scratch, std::int64_t* out) {
   const std::int64_t nin = fc.in_features, nout = fc.out_features;
   std::fill(scratch, scratch + batch * nout, std::int64_t{0});
   for (std::int64_t i = 0; i < nin; ++i) {
     const std::int64_t* px = in + i * batch;
-    const std::int32_t* wrow = wt + i * nout;
+    const std::int8_t* wrow = wt + i * nout;
     prefetch_ro(wrow + kPrefetchRows * nout);
     for (std::int64_t b = 0; b < batch; ++b) {
       const std::int64_t a = px[b];
       if (a == 0) continue;
-      K.axpy_w32(scratch + b * nout, wrow, a, nout);
+      K.axpy_w8(scratch + b * nout, wrow, a, nout);
     }
   }
   const std::int64_t* bias = fc.bias.data();
@@ -537,9 +537,65 @@ LayerStats annotated_stats(const ir::LayerOp& op) {
   return stats;
 }
 
+/// Narrows weights into the int8 prepared pack while tracking their range;
+/// require() then refuses the layer if any value fell outside int8.
+/// Quantized weights are `weight_bits` <= 8 signed values, so this only
+/// fails on a network built or loaded around those bounds — and then
+/// prepare throws instead of keeping a truncated pack. Tracking min/max
+/// instead of branching per weight keeps the repack loops branch-free.
+class Int8Narrower {
+ public:
+  /// dst[j] = src[j * stride] for j < n. Locals carry the range: the int8
+  /// stores may alias the members, which would pin them to memory.
+  void copy(const std::int32_t* src, std::int64_t stride, std::int8_t* dst,
+            std::int64_t n) {
+    std::int32_t lo = lo_, hi = hi_;
+    for (std::int64_t j = 0; j < n; ++j) {
+      const std::int32_t w = src[j * stride];
+      lo = std::min(lo, w);
+      hi = std::max(hi, w);
+      dst[j] = static_cast<std::int8_t>(w);
+    }
+    lo_ = lo;
+    hi_ = hi;
+  }
+  void require(std::size_t op_index) const {
+    RSNN_REQUIRE(lo_ >= INT8_MIN && hi_ <= INT8_MAX,
+                 "op " << op_index << " has weights in [" << lo_ << ", "
+                       << hi_ << "], outside the int8 prepared pack");
+  }
+
+ private:
+  std::int32_t lo_ = 0;
+  std::int32_t hi_ = 0;
+};
+
+/// Side of the square blocks the transposing repacks walk (rows x columns of
+/// the destination, i.e. cin x cout or in x out). A block's source reads
+/// (one strided run per destination column) stay cache-resident while its
+/// destination rows are written front to back.
+constexpr std::int64_t kRepackBlock = 64;
+
+/// Visit a rows x cols transpose in kRepackBlock-square blocks:
+/// fn(row, col_begin, col_end) once per destination row segment.
+template <typename Fn>
+void for_each_repack_block(std::int64_t rows, std::int64_t cols, Fn&& fn) {
+  for (std::int64_t r0 = 0; r0 < rows; r0 += kRepackBlock)
+    for (std::int64_t c0 = 0; c0 < cols; c0 += kRepackBlock) {
+      const std::int64_t r1 = std::min(rows, r0 + kRepackBlock);
+      const std::int64_t c1 = std::min(cols, c0 + kRepackBlock);
+      for (std::int64_t r = r0; r < r1; ++r) fn(r, c0, c1);
+    }
+}
+
 }  // namespace
 
 FastPrepared prepare_fast_path(const ir::LayerProgram& program) {
+  // With int8 weights this keeps every code x weight product inside the
+  // kernels' 32-bit multiply, also for networks built around the quantizer.
+  RSNN_REQUIRE(program.time_bits() >= 1 && program.time_bits() <= 16,
+               "time_bits " << program.time_bits()
+                            << " outside 1..16 for the fast path");
   FastPrepared prep;
   prep.ops.resize(program.size());
   for (std::size_t i = 0; i < program.size(); ++i) {
@@ -562,22 +618,28 @@ FastPrepared prepare_fast_path(const ir::LayerProgram& program) {
         const std::int64_t cin = conv.in_channels, cout = conv.out_channels;
         p.weights.resize(static_cast<std::size_t>(k * k * cin * cout));
         const std::int32_t* w = conv.weight.data();
-        for (std::int64_t oc = 0; oc < cout; ++oc)
-          for (std::int64_t ic = 0; ic < cin; ++ic)
-            for (std::int64_t ky = 0; ky < k; ++ky)
-              for (std::int64_t kx = 0; kx < k; ++kx)
-                p.weights[static_cast<std::size_t>(
-                    ((ky * k + kx) * cin + ic) * cout + oc)] =
-                    w[((oc * cin + ic) * k + ky) * k + kx];
+        Int8Narrower narrow;
+        for_each_repack_block(cin, cout, [&](std::int64_t ic, std::int64_t o0,
+                                             std::int64_t o1) {
+          for (std::int64_t tap = 0; tap < k * k; ++tap)
+            narrow.copy(w + (o0 * cin + ic) * k * k + tap, cin * k * k,
+                        p.weights.data() + (tap * cin + ic) * cout + o0,
+                        o1 - o0);
+        });
+        narrow.require(i);
       }
     } else if (op.kind == ir::OpKind::kLinear) {
       const QLinear& fc = *op.linear;
       const std::int64_t nin = fc.in_features, nout = fc.out_features;
       p.weights.resize(static_cast<std::size_t>(nin * nout));
       const std::int32_t* w = fc.weight.data();
-      for (std::int64_t o = 0; o < nout; ++o)
-        for (std::int64_t in = 0; in < nin; ++in)
-          p.weights[static_cast<std::size_t>(in * nout + o)] = w[o * nin + in];
+      Int8Narrower narrow;
+      for_each_repack_block(nin, nout, [&](std::int64_t in, std::int64_t o0,
+                                           std::int64_t o1) {
+        narrow.copy(w + o0 * nin + in, nin, p.weights.data() + in * nout + o0,
+                    o1 - o0);
+      });
+      narrow.require(i);
     }
   }
   return prep;

@@ -48,8 +48,10 @@ struct FastPrepared {
   struct OpPrep {
     /// HWC-packed conv weights [ky][kx][Cin][Cout] (conv ops with
     /// fast_layout == kHwc) or the transposed linear weights [in][out]
-    /// (linear ops); empty otherwise.
-    std::vector<std::int32_t> weights;
+    /// (linear ops); empty otherwise. One byte per weight: quantized
+    /// weights are at most 8-bit signed, and prepare_fast_path() throws on
+    /// any value outside int8 rather than truncating it.
+    std::vector<std::int8_t> weights;
     /// Separable adder-op coverage per input row / column (conv ops):
     /// a spike at (iy, ix) feeds county[iy] * countx[ix] kernel windows.
     std::vector<std::int64_t> county;

@@ -105,12 +105,26 @@ std::future<engine::ServingResult> ModelRegistry::submit(
   // Copy the shared_ptr under the lock, submit outside it: a hot-swap or
   // unload during the (possibly blocking) admission cannot free the pool
   // out from under us, and its drain guarantees cover this request.
-  const std::shared_ptr<Instance> instance = find(request.model_id);
+  std::shared_ptr<Instance> instance = find(request.model_id);
   if (instance == nullptr) {
     if (admitted != nullptr) *admitted = false;
     return rejected("unknown model '" + request.model_id + "'");
   }
-  return instance->pool->submit(std::move(request), admitted);
+  bool entered = false;
+  std::future<engine::ServingResult> ticket =
+      instance->pool->submit(std::move(request), &entered);
+  // A hot-swap may close the routed pool between find() and admission, or
+  // while a blocking admission waits for queue space. The pool leaves a
+  // refused request intact, so offer it to the generation that replaced it;
+  // each retry needs a newer generation, so this ends.
+  while (!entered) {
+    std::shared_ptr<Instance> current = find(request.model_id);
+    if (current == nullptr || current == instance) break;
+    instance = std::move(current);
+    ticket = instance->pool->submit(std::move(request), &entered);
+  }
+  if (admitted != nullptr) *admitted = entered;
+  return ticket;
 }
 
 std::shared_ptr<ModelRegistry::Instance> ModelRegistry::find(

@@ -19,7 +19,8 @@
 // drains before joining, so their futures resolve kOk with the *old*
 // model's bit-identical logits). New work routed after the swap lands on
 // the new generation; a racing submit that caught the old instance after
-// its shutdown resolves typed kRejected — admitted work is never dropped.
+// its shutdown is offered to the generation that replaced it — admitted
+// work is never dropped, and a swap never turns a request away.
 //
 // Routing: submit() looks the pool up by Request::model_id and forwards to
 // ServingPool::submit(Request) — the same typed core every in-process
@@ -86,8 +87,9 @@ class ModelRegistry {
   std::string unload_model(const std::string& model_id);
 
   /// Route a typed request to its model's pool. Unknown model ids (and a
-  /// shut-down registry) resolve immediately with kRejected. `admitted` as
-  /// in ServingPool::submit.
+  /// shut-down registry) resolve immediately with kRejected. A request the
+  /// routed pool refused because a hot-swap closed it is resubmitted to the
+  /// current generation. `admitted` as in ServingPool::submit.
   std::future<engine::ServingResult> submit(engine::Request request,
                                             bool* admitted = nullptr);
 

@@ -88,7 +88,7 @@ void Server::accept_main() {
     std::string error;
     Socket socket = listener_.accept_connection(&error);
     if (!socket.valid()) {
-      // close() shut the listener down (stop path); anything else on a
+      // stop() shut the listener down; anything else on a
       // closed-over loopback listener is equally terminal.
       break;
     }
@@ -270,8 +270,12 @@ void Server::request_stop() {
 void Server::stop() {
   if (stopping_.exchange(true)) return;
   request_stop();
-  listener_.close();
+  // Wake the blocked accept, and only once the accept thread is gone close
+  // the descriptor: closing first would race its reads of the fd (and could
+  // hand a recycled fd number to that accept).
+  listener_.shutdown();
   if (accept_thread_.joinable()) accept_thread_.join();
+  listener_.close();
   std::vector<std::unique_ptr<Connection>> connections;
   {
     const std::lock_guard<std::mutex> lock(mutex_);

@@ -197,9 +197,13 @@ Socket Listener::accept_connection(std::string* error) {
   return Socket(fd);
 }
 
+void Listener::shutdown() {
+  if (valid()) ::shutdown(fd_, SHUT_RDWR);
+}
+
 void Listener::close() {
   if (valid()) {
-    ::shutdown(fd_, SHUT_RDWR);
+    shutdown();
     ::close(fd_);
     fd_ = -1;
   }

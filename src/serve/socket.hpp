@@ -78,10 +78,16 @@ class Listener {
   bool valid() const { return fd_ >= 0; }
 
   /// Block until a client connects. Returns an invalid Socket (with a
-  /// diagnostic) on failure — including when close() unblocked the accept.
+  /// diagnostic) on failure — including when shutdown() woke the accept.
   Socket accept_connection(std::string* error);
 
-  /// Shut down + close the listening socket; unblocks accept_connection.
+  /// Shut the listening socket down without releasing the descriptor:
+  /// wakes a thread blocked in accept_connection, which then fails. Safe to
+  /// call while another thread is accepting; close() only after it returns.
+  void shutdown();
+
+  /// Shut down + close the listening socket. Must not race
+  /// accept_connection (stop the accepting thread with shutdown() first).
   void close();
 
  private:

@@ -15,6 +15,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "common/alloc_hook.hpp"
@@ -282,6 +283,71 @@ TEST(FastPath, SegmentCutBetweenFusedConvPoolMatchesWholeProgram) {
   expect_bit_identical(merged, whole);
 }
 
+// ------------------------------------------------- int8 prepared pack
+
+TEST(FastPathPrepared, Vgg11PackHoldsOneBytePerRepackedWeight) {
+  Rng rng(38);
+  nn::Network vgg = nn::make_vgg11();
+  vgg.init_params(rng);
+  const quant::QuantizedNetwork qnet =
+      quant::quantize(vgg, quant::QuantizeConfig{3, 3});
+  // Forced HWC repacks every conv, so every weight of the network is packed.
+  AcceleratorConfig cfg = vgg11_table3_config();
+  cfg.fast_path.layout = LayoutPolicy::kForceHwc;
+  const ir::LayerProgram program = ir::lower(qnet, cfg);
+  const FastPrepared prep = prepare_fast_path(program);
+
+  using PackedWeight = decltype(FastPrepared::OpPrep::weights)::value_type;
+  static_assert(sizeof(PackedWeight) == 1, "one byte per prepared weight");
+  std::int64_t weights = 0;
+  for (std::size_t i = 0; i < program.size(); ++i) {
+    SCOPED_TRACE("op " + std::to_string(i));
+    const ir::LayerOp& op = program.op(i);
+    std::int64_t op_weights = 0;
+    if (op.kind == ir::OpKind::kConv) op_weights = op.conv->weight.numel();
+    if (op.kind == ir::OpKind::kLinear) op_weights = op.linear->weight.numel();
+    EXPECT_EQ(static_cast<std::int64_t>(prep.ops[i].weights.size() *
+                                        sizeof(PackedWeight)),
+              op_weights);
+    weights += op_weights;
+  }
+  EXPECT_GT(weights, 20'000'000) << "VGG-11 carries ~28M weights";
+}
+
+TEST(FastPathPrepared, WeightOutsideInt8OrWideCodesAreRefused) {
+  Rng rng(39);
+  nn::Network net = rsnn::testing::small_random_net(rng);
+  const quant::QuantizedNetwork valid =
+      quant::quantize(net, quant::QuantizeConfig{3, 4});
+  AcceleratorConfig cfg;
+  cfg.conv = ConvUnitGeometry{16, 3, 24};
+  cfg.pool = PoolUnitGeometry{8, 2, 16};
+  cfg.linear = LinearUnitGeometry{8, 24};
+  cfg.fast_path.layout = LayoutPolicy::kForceHwc;
+  ASSERT_NO_THROW(prepare_fast_path(ir::lower(valid, cfg)));
+
+  // A hand-built network around the quantizer: one weight of 200 in the
+  // conv (HWC pack) or in the linear layer (transposed pack).
+  for (const bool in_conv : {true, false}) {
+    SCOPED_TRACE(in_conv ? "conv" : "linear");
+    quant::QuantizedNetwork qnet = valid;
+    for (quant::QLayer& layer : qnet.layers) {
+      if (auto* conv = std::get_if<quant::QConv2d>(&layer); conv && in_conv)
+        conv->weight.at_flat(0) = 200;
+      if (auto* fc = std::get_if<quant::QLinear>(&layer); fc && !in_conv)
+        fc->weight.at_flat(0) = 200;
+    }
+    const ir::LayerProgram program = ir::lower(qnet, cfg);
+    EXPECT_THROW(prepare_fast_path(program), ContractViolation);
+  }
+
+  // Codes wider than 16 bits would overflow the kernels' 32-bit multiply.
+  quant::QuantizedNetwork wide = valid;
+  wide.time_bits = 17;
+  const ir::LayerProgram wide_program = ir::lower(wide, cfg);
+  EXPECT_THROW(prepare_fast_path(wide_program), ContractViolation);
+}
+
 // ------------------------------------------------- zero-allocation warmth
 
 TEST(FastPath, WarmStreamingInferenceAllocatesNothing) {
@@ -328,23 +394,38 @@ TEST(Simd, KernelsMatchScalarOnRandomVectors) {
   const common::simd::Kernels& best = common::simd::kernels();
   const common::simd::Kernels& scalar = common::simd::scalar_kernels();
   Rng rng(321);
+  // The largest code a T <= 16 network produces: with the int8 weight
+  // extremes it sets the |a * w| < 2^31 bound axpy_w8 multiplies within.
+  constexpr std::int64_t kMaxCode = (std::int64_t{1} << 16) - 1;
   // Odd lengths cover every remainder path of the vector kernels.
   for (const std::int64_t n : {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 31, 70}) {
     SCOPED_TRACE("n=" + std::to_string(n));
     std::vector<std::int64_t> acc_a(n), acc_b(n), src(n);
-    std::vector<std::int32_t> w32(n);
+    std::vector<std::int8_t> w8(n), extremes(n);
     for (std::int64_t i = 0; i < n; ++i) {
       acc_a[i] = acc_b[i] = rng.next_int(-1000, 1000);
       src[i] = rng.next_int(0, 255);  // activation-code range
-      w32[i] = static_cast<std::int32_t>(rng.next_int(-4, 3));
+      w8[i] = static_cast<std::int8_t>(rng.next_int(-128, 127));
+      extremes[i] = static_cast<std::int8_t>(i % 2 == 0 ? -128 : 127);
     }
     const std::int64_t w = rng.next_int(-4, 3);
     best.axpy_code_i64(acc_a.data(), src.data(), w, n);
     scalar.axpy_code_i64(acc_b.data(), src.data(), w, n);
     EXPECT_EQ(acc_a, acc_b);
-    best.axpy_w32(acc_a.data(), w32.data(), 200, n);
-    scalar.axpy_w32(acc_b.data(), w32.data(), 200, n);
-    EXPECT_EQ(acc_a, acc_b);
+    const std::int64_t random_code = rng.next_int(0, kMaxCode);
+    for (const std::int64_t a : {std::int64_t{200}, kMaxCode, random_code}) {
+      SCOPED_TRACE("a=" + std::to_string(a));
+      for (const auto* weights : {&w8, &extremes}) {
+        best.axpy_w8(acc_a.data(), weights->data(), a, n);
+        scalar.axpy_w8(acc_b.data(), weights->data(), a, n);
+        EXPECT_EQ(acc_a, acc_b);
+      }
+    }
+    // The extreme products land exactly: -128 and 127 times 2^16 - 1.
+    std::vector<std::int64_t> zero(n, 0);
+    best.axpy_w8(zero.data(), extremes.data(), kMaxCode, n);
+    EXPECT_EQ(zero[0], -128 * kMaxCode);
+    if (n > 1) EXPECT_EQ(zero[1], 127 * kMaxCode);
     best.add_i64(acc_a.data(), src.data(), n);
     scalar.add_i64(acc_b.data(), src.data(), n);
     EXPECT_EQ(acc_a, acc_b);

@@ -76,6 +76,58 @@ TEST(QSerialize, RejectsMissingAndCorrupt) {
   std::remove(path.c_str());
 }
 
+/// Save a valid model, then overwrite the header's time_bits / weight_bits
+/// (the two int32 fields after the magic and version) with the given values.
+std::string write_with_header(const QuantizedNetwork& qnet, std::int32_t T,
+                              std::int32_t weight_bits,
+                              const std::string& name) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  save_quantized(qnet, path);
+  std::fstream fs(path, std::ios::binary | std::ios::in | std::ios::out);
+  fs.seekp(8);
+  fs.write(reinterpret_cast<const char*>(&T), sizeof(T));
+  fs.write(reinterpret_cast<const char*>(&weight_bits), sizeof(weight_bits));
+  return path;
+}
+
+TEST(QSerialize, RejectsHeaderBitWidthsOutsideQuantizerBounds) {
+  // T <= 16 and weight_bits <= 8 are what keep a code x weight product
+  // inside the fast path's 32-bit SIMD multiply; the loader enforces the
+  // same bounds as the quantizer.
+  Rng rng(6);
+  nn::Network net = small_random_net(rng);
+  const QuantizedNetwork qnet = quantize(net, QuantizeConfig{3, 4});
+
+  const struct {
+    std::int32_t T, weight_bits;
+    bool ok;
+  } cases[] = {{17, 3, false}, {0, 3, false}, {30, 3, false},
+               {4, 9, false},  {4, 0, false}, {16, 8, true}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE("T=" + std::to_string(c.T) +
+                 " weight_bits=" + std::to_string(c.weight_bits));
+    const std::string path =
+        write_with_header(qnet, c.T, c.weight_bits, "header.qsnn");
+    if (c.ok) {
+      EXPECT_EQ(load_quantized(path).time_bits, c.T);
+    } else {
+      try {
+        load_quantized(path);
+        ADD_FAILURE() << "loaded a corrupt header";
+      } catch (const ContractViolation& e) {
+        EXPECT_NE(std::string(e.what()).find("corrupt header"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+    std::remove(path.c_str());
+  }
+
+  EXPECT_THROW(quantize(net, QuantizeConfig{9, 4}), ContractViolation);
+  EXPECT_THROW(quantize(net, QuantizeConfig{0, 4}), ContractViolation);
+  EXPECT_THROW(quantize(net, QuantizeConfig{3, 17}), ContractViolation);
+}
+
 }  // namespace
 }  // namespace rsnn::quant
 

@@ -131,7 +131,7 @@ TEST(Quantize, WeightBitsRespected) {
 TEST(Quantize, HighPrecisionMatchesFloatArgmax) {
   Rng rng(8);
   nn::Network net = small_random_net(rng);
-  const QuantizedNetwork qnet = quantize(net, QuantizeConfig{10, 10});
+  const QuantizedNetwork qnet = quantize(net, QuantizeConfig{8, 10});
 
   int agree = 0;
   const int trials = 25;

@@ -7,6 +7,7 @@
 // execution while answering protocol violations with one Error frame.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <future>
@@ -397,6 +398,64 @@ TEST(Registry, HotSwapResolvesInFlightWorkWithOldModelLogits) {
   const auto snapshot = registry.snapshot("m");
   ASSERT_EQ(snapshot.size(), 1u);
   EXPECT_EQ(snapshot[0].generation, 2u) << "every load bumps the generation";
+}
+
+TEST(Registry, SwapLoopBesideSubmittersRejectsNothing) {
+  // A submit that routed to a generation a concurrent swap then closed must
+  // land on the replacing generation instead of resolving kRejected. A
+  // one-slot admission queue keeps most submitters blocked in admission,
+  // so nearly every swap closes a pool with waiters on it. Every request
+  // resolves kOk with one of the two models' exact logits.
+  RegistryOptions options = small_registry_options();
+  options.pool.queue_capacity = 1;
+  const quant::QuantizedNetwork net_a = make_qnet(11);
+  const quant::QuantizedNetwork net_b = make_qnet(22);
+  const TensorI codes = encode_image(net_a, 5);
+  const std::vector<std::int64_t> logits_a =
+      reference_logits(net_a, options, codes);
+  const std::vector<std::int64_t> logits_b =
+      reference_logits(net_b, options, codes);
+
+  ModelRegistry registry(options);
+  ASSERT_TRUE(registry.load_network("m", net_a).empty());
+
+  constexpr int kSubmitters = 3;
+  constexpr int kSwaps = 60;
+  std::atomic<bool> swapping{true};
+  std::vector<std::future<std::string>> submitters;
+  for (int s = 0; s < kSubmitters; ++s)
+    submitters.push_back(std::async(std::launch::async, [&]() -> std::string {
+      int sent = 0;
+      while (swapping.load() || sent < 8) {
+        std::vector<std::future<engine::ServingResult>> burst;
+        for (int i = 0; i < 4; ++i, ++sent) {
+          engine::Request request;
+          request.model_id = "m";
+          request.codes = codes;
+          burst.push_back(registry.submit(std::move(request)));
+        }
+        for (auto& ticket : burst) {
+          const engine::ServingResult result = ticket.get();
+          if (result.status != RequestStatus::kOk)
+            return std::string(engine::status_name(result.status)) + ": " +
+                   result.error;
+          if (result.result.logits != logits_a &&
+              result.result.logits != logits_b)
+            return "logits match neither generation";
+        }
+      }
+      return {};
+    }));
+  for (int i = 0; i < kSwaps; ++i) {
+    const std::string error =
+        registry.load_network("m", i % 2 == 0 ? net_b : net_a);
+    if (!error.empty()) {
+      ADD_FAILURE() << error;
+      break;
+    }
+  }
+  swapping.store(false);
+  for (auto& submitter : submitters) EXPECT_EQ(submitter.get(), std::string());
 }
 
 TEST(Registry, LoadModelValidatesIdsAndPaths) {
