@@ -1,7 +1,7 @@
 // Microbenchmarks for the simulator's hot paths: radix encode/decode, the
-// quantized integer forward pass, the cycle-accurate accelerator, and the
-// analytic latency model. These track simulator performance, not paper
-// results.
+// quantized integer forward pass, the accelerator's fast path and stepped
+// dataflow, and the analytic latency model. These track simulator
+// performance, not paper results.
 //
 // Two modes:
 //   * default — google-benchmark registrations (when the library is
@@ -318,7 +318,7 @@ int run_json_mode(const std::string& path, int samples, bool tiny,
   Rng rng(4);
 
   // The acceptance workload: LeNet-5 at T=8 on the paper's reference
-  // configuration, cycle-accurate and analytic. Skipped by --tiny.
+  // configuration, fast path and stepped. Skipped by --tiny.
   if (!tiny) {
     const auto qnet = make_lenet_qnet(8);
     hw::Accelerator accel(hw::lenet_reference_config(), qnet);
@@ -344,26 +344,17 @@ int run_json_mode(const std::string& path, int samples, bool tiny,
                             (void)r;
                           }),
          std::max(1, samples / 4)});
-    results.push_back(
-        {"analytic_lenet_t8",
-         time_ns_per_call(samples,
-                          [&] {
-                            auto r =
-                                accel.run_codes(codes, hw::SimMode::kAnalytic);
-                            (void)r;
-                          }),
-         samples});
 
-    // The analytic engine's warm serving path: pre-allocated worker state,
-    // result storage reused across calls — what a ServingPool replica pays
-    // per inference once the pool is warm.
+    // The cycle_accurate engine's warm serving path: pre-allocated worker
+    // state, result storage reused across calls — what a ServingPool
+    // replica pays per inference once the pool is warm.
     {
-      auto eng = engine::make_engine(engine::EngineKind::kAnalytic,
+      auto eng = engine::make_engine(engine::EngineKind::kCycleAccurate,
                                      accel.program());
       hw::AccelRunResult reused;
       eng->run_codes_into(codes, reused);  // size every scratch buffer
       results.push_back(
-          {"analytic_fastpath_lenet_t8",
+          {"warm_engine_cycle_accurate_lenet_t8",
            time_ns_per_call(samples,
                             [&] { eng->run_codes_into(codes, reused); }),
            samples});
@@ -405,16 +396,6 @@ int run_json_mode(const std::string& path, int samples, bool tiny,
                          pns / static_cast<double>(batch32.size()),
                          batch_samples});
     }
-
-    // Batched throughput across the thread pool.
-    std::vector<TensorI> batch(8, codes);
-    const double batch_ns = time_ns_per_call(std::max(1, samples / 4), [&] {
-      auto r = accel.run_batch_codes(batch, hw::SimMode::kCycleAccurate);
-      (void)r;
-    });
-    results.push_back({"cycle_accurate_lenet_t8_batch8",
-                       batch_ns / static_cast<double>(batch.size()),
-                       std::max(1, samples / 4)});
 
     // The other two engines over the same lowered program.
     const ir::LayerProgram& program = accel.program();
@@ -475,7 +456,7 @@ int run_json_mode(const std::string& path, int samples, bool tiny,
   // Re-lowered 4-stage VGG-11 pipeline (the PR 4 metric): each stage is
   // re-compiled against its own device, so the early stages hold their
   // weights on chip instead of inheriting the monolithic DRAM-streaming
-  // plan. Analytic engine — the standard path at VGG scale.
+  // plan. Fast path — the standard path at VGG scale.
   if (!tiny) {
     Rng vrng(9);
     nn::Network vgg = nn::make_vgg11();
@@ -486,7 +467,7 @@ int run_json_mode(const std::string& path, int samples, bool tiny,
     const auto segments = compiler::partition_balance_latency(
         program, 4, compiler::PartitionOptions{});
     engine::PipelineExecutor pipe(program, segments,
-                                  engine::EngineKind::kAnalytic);
+                                  engine::EngineKind::kCycleAccurate);
     const TensorF image = random_image(Shape{3, 32, 32}, vrng);
     const TensorI codes = quant::encode_activations(image, qnet.time_bits);
     std::vector<TensorI> batch(
@@ -711,22 +692,6 @@ void BM_CycleAccurateLeNetT8(benchmark::State& state) {
 }
 BENCHMARK(BM_CycleAccurateLeNetT8);
 
-void BM_RunBatchLeNetT8(benchmark::State& state) {
-  const auto qnet = make_lenet_qnet(8);
-  hw::Accelerator accel(hw::lenet_reference_config(), qnet);
-  Rng rng(8);
-  std::vector<TensorI> batch;
-  for (int i = 0; i < 8; ++i)
-    batch.push_back(
-        quant::encode_activations(random_image(Shape{1, 32, 32}, rng), 8));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        accel.run_batch_codes(batch, hw::SimMode::kCycleAccurate));
-  }
-  state.SetItemsProcessed(state.iterations() * 8);
-}
-BENCHMARK(BM_RunBatchLeNetT8);
-
 void BM_StreamLeNetT8(benchmark::State& state) {
   const auto qnet = make_lenet_qnet(8);
   const ir::LayerProgram program =
@@ -744,22 +709,6 @@ void BM_StreamLeNetT8(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 16);
 }
 BENCHMARK(BM_StreamLeNetT8);
-
-void BM_AnalyticAccelerator(benchmark::State& state) {
-  const auto qnet = make_qnet(4);
-  hw::AcceleratorConfig cfg;
-  cfg.num_conv_units = 2;
-  cfg.conv = hw::ConvUnitGeometry{16, 3, 24};
-  cfg.pool = hw::PoolUnitGeometry{8, 2, 16};
-  cfg.linear = hw::LinearUnitGeometry{8, 24};
-  hw::Accelerator accel(cfg, qnet);
-  Rng rng(5);
-  const TensorF image = random_image(Shape{1, 16, 16}, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(accel.run_image(image, hw::SimMode::kAnalytic));
-  }
-}
-BENCHMARK(BM_AnalyticAccelerator);
 
 void BM_LatencyPrediction(benchmark::State& state) {
   Rng rng(6);

@@ -2,7 +2,7 @@
 //
 // Sweeps pipeline stages x replicas x admission-queue depth on LeNet-5
 // (T=8, cycle-accurate — the acceptance workload) and VGG-11 (T=3,
-// analytic, re-lowered stages), and writes BENCH_pr5_serving.json.
+// fast path, re-lowered stages), and writes BENCH_pr5_serving.json.
 //
 // Two throughput numbers per configuration:
 //   * images_per_sec        — modeled hardware fleet throughput:
@@ -174,7 +174,7 @@ int main(int argc, char** argv) {
       lenet_program, engine::EngineKind::kCycleAccurate, "lenet5_t8", 1, 1, 4,
       engine::AdmissionPolicy::kReject, lenet_codes, partition_options));
 
-  // VGG-11 at T=3, analytic, re-lowered stages — the at-scale data point.
+  // VGG-11 at T=3, fast path, re-lowered stages — the at-scale data point.
   if (!skip_vgg) {
     Rng vrng(9);
     nn::Network vgg = nn::make_vgg11();
@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
     for (const auto& [stages, replicas] :
          std::vector<std::pair<int, int>>{{1, 1}, {2, 1}, {2, 2}})
       records.push_back(run_config(
-          vgg_program, engine::EngineKind::kAnalytic, "vgg11_t3", stages,
+          vgg_program, engine::EngineKind::kCycleAccurate, "vgg11_t3", stages,
           replicas, 8, engine::AdmissionPolicy::kFifo, vgg_codes,
           partition_options));
   }

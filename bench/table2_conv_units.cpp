@@ -56,7 +56,7 @@ int main() {
 
     // One representative inference provides the activity factors.
     const auto run =
-        accel.run_image(model.test.images[0], hw::SimMode::kAnalytic);
+        accel.run_image(model.test.images[0], hw::SimMode::kCycleAccurate);
     const auto resources = hw::estimate_resources(accel);
     const auto power =
         hw::estimate_power(design.config, resources, run, accel.uses_dram());

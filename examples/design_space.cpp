@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
       options.clock_mhz = mhz;
       const auto design = compiler::compile(qnet, options);
       hw::Accelerator accel(design.config, qnet);
-      const auto run = accel.run_image(sample, hw::SimMode::kAnalytic);
+      const auto run = accel.run_image(sample, hw::SimMode::kCycleAccurate);
       const auto resources = hw::estimate_resources(accel);
       const auto power =
           hw::estimate_power(design.config, resources, run, accel.uses_dram());

@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
   const double accuracy =
       100.0 * static_cast<double>(correct) / static_cast<double>(test.size());
 
-  const auto run = accel.run_image(test.images[0], hw::SimMode::kAnalytic);
+  const auto run = accel.run_image(test.images[0], hw::SimMode::kCycleAccurate);
   const auto resources = hw::estimate_resources(accel);
   const auto power =
       hw::estimate_power(design.config, resources, run, accel.uses_dram());

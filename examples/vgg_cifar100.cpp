@@ -54,8 +54,8 @@ int main(int argc, char** argv) {
   data::SynthObjectsConfig sample_cfg;
   sample_cfg.num_samples = 1;
   const auto sample = data::make_synth_objects(sample_cfg).images[0];
-  std::printf("\nrunning one inference (analytic mode)...\n");
-  const auto run = accel.run_image(sample, hw::SimMode::kAnalytic);
+  std::printf("\nrunning one inference (fast path)...\n");
+  const auto run = accel.run_image(sample, hw::SimMode::kCycleAccurate);
 
   const auto resources = hw::estimate_resources(accel);
   const auto power =

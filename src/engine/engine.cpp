@@ -42,9 +42,9 @@ void accumulate(hw::AccelRunResult& result, hw::LayerStats stats) {
   result.layers.push_back(std::move(stats));
 }
 
-/// The exact accelerator-backed engines: cycle_accurate (fast path when the
-/// config enables it) and stepped (always the golden stepped dataflow) are
-/// the same machinery under different SimModes.
+/// The exact accelerator-backed engines: cycle_accurate (the fast path) and
+/// stepped (the golden stepped dataflow) are the same machinery under
+/// different SimModes.
 class AcceleratorEngine final : public Engine {
  public:
   AcceleratorEngine(const ir::LayerProgram& program, ir::ProgramSegment segment,
@@ -168,8 +168,6 @@ const char* engine_name(EngineKind kind) {
       return "cycle_accurate";
     case EngineKind::kStepped:
       return "stepped";
-    case EngineKind::kAnalytic:
-      return "analytic";
     case EngineKind::kBehavioral:
       return "behavioral";
     case EngineKind::kReference:
@@ -179,23 +177,21 @@ const char* engine_name(EngineKind kind) {
 }
 
 EngineKind parse_engine(const std::string& name) {
-  if (name == "cycle_accurate" || name == "cycle")
+  if (name == "cycle_accurate" || name == "cycle" || name == "analytic")
     return EngineKind::kCycleAccurate;
   if (name == "stepped") return EngineKind::kStepped;
-  if (name == "analytic") return EngineKind::kAnalytic;
   if (name == "behavioral") return EngineKind::kBehavioral;
   if (name == "reference") return EngineKind::kReference;
   RSNN_REQUIRE(false, "unknown engine '"
                           << name
-                          << "' (expected cycle_accurate, stepped, analytic, "
+                          << "' (expected cycle_accurate, stepped, "
                              "behavioral or reference)");
-  return EngineKind::kAnalytic;  // unreachable
+  return EngineKind::kCycleAccurate;  // unreachable
 }
 
 std::vector<EngineKind> all_engines() {
   return {EngineKind::kCycleAccurate, EngineKind::kStepped,
-          EngineKind::kAnalytic, EngineKind::kBehavioral,
-          EngineKind::kReference};
+          EngineKind::kBehavioral, EngineKind::kReference};
 }
 
 hw::AccelRunResult Engine::run_codes(const TensorI& codes) {
@@ -259,14 +255,6 @@ std::unique_ptr<Engine> make_engine(EngineKind kind,
       return std::make_unique<AcceleratorEngine>(*exec_program,
                                                  std::move(exec_segment), kind,
                                                  hw::SimMode::kStepped);
-    case EngineKind::kAnalytic:
-      // The analytic engine is accelerator-backed too: SimMode::kAnalytic
-      // runs the fast-path kernels (annotation accounting, exact logits)
-      // with a per-engine WorkerState, falling back to the functional
-      // reference when the config disables the fast path.
-      return std::make_unique<AcceleratorEngine>(*exec_program,
-                                                 std::move(exec_segment), kind,
-                                                 hw::SimMode::kAnalytic);
     case EngineKind::kBehavioral:
       return std::make_unique<BehavioralEngine>(*exec_program,
                                                 std::move(exec_segment));

@@ -1,17 +1,16 @@
 // Engine: uniform execution interface over a lowered ir::LayerProgram.
 //
-// Five engines run the same program and must agree bit-identically on LeNet
+// Four engines run the same program and must agree bit-identically on LeNet
 // (logits, cycles, adder ops, traffic — enforced by
 // tests/test_equivalence_packed.cpp):
 //   * cycle_accurate — the simulator's default exact mode: the code-domain
-//     fast path (hw::Accelerator, SimMode::kCycleAccurate) when the config
-//     enables it, the stepped dataflow otherwise. Exact timing either way.
-//   * stepped        — always the golden stepped dataflow on the bit-true
-//     unit simulators (SimMode::kStepped). The anchor the fast path is
-//     pinned against.
-//   * analytic       — exact code-domain arithmetic + the program's
-//     precomputed latency annotations (hw::Accelerator, SimMode::kAnalytic;
-//     runs the fast-path kernels when the config enables them).
+//     fast path (hw::Accelerator, SimMode::kCycleAccurate). Exact logits
+//     from code-domain arithmetic; cycles and traffic from the program's
+//     latency annotations, adder ops from the exact activity rule. The name
+//     "analytic" parses to this engine.
+//   * stepped        — the bit-true golden: the stepped dataflow on the
+//     unit simulators (SimMode::kStepped), cycles counted by stepping. The
+//     anchor the fast path and the latency annotations are pinned against.
 //   * behavioral     — the functional radix-SNN simulator (snn::RadixSnn):
 //     event-driven spikes, no dataflow stepping; timing and traffic come
 //     from the program annotations.
@@ -43,23 +42,18 @@
 
 namespace rsnn::engine {
 
-enum class EngineKind {
-  kCycleAccurate,
-  kStepped,
-  kAnalytic,
-  kBehavioral,
-  kReference
-};
+enum class EngineKind { kCycleAccurate, kStepped, kBehavioral, kReference };
 
-/// Canonical engine name: "cycle_accurate" / "stepped" / "analytic" /
-/// "behavioral" / "reference".
+/// Canonical engine name: "cycle_accurate" / "stepped" / "behavioral" /
+/// "reference".
 const char* engine_name(EngineKind kind);
 
-/// Parse an engine name (the canonical names plus the shorthand "cycle");
-/// throws ContractViolation on unknown names.
+/// Parse an engine name: the canonical names, the shorthand "cycle", and
+/// "analytic" (the fast path's former engine, now cycle_accurate). Throws
+/// ContractViolation on unknown names.
 EngineKind parse_engine(const std::string& name);
 
-/// All five engine kinds, for parameterized tests and sweeps.
+/// All four engine kinds, for parameterized tests and sweeps.
 std::vector<EngineKind> all_engines();
 
 /// What one segment-scoped run produces: the executed ops' stats, and the
@@ -89,16 +83,16 @@ class Engine {
   /// engines only (a stage engine cannot produce logits on its own).
   hw::AccelRunResult run_codes(const TensorI& codes);
 
-  /// As run_codes(), reusing `out`'s storage. The accelerator-backed
-  /// engines forward to the zero-allocation fast path when it is enabled;
-  /// the default delegates to run_codes().
+  /// As run_codes(), reusing `out`'s storage. The cycle_accurate engine
+  /// forwards to the zero-allocation fast path; the default delegates to
+  /// run_codes().
   virtual void run_codes_into(const TensorI& codes, hw::AccelRunResult& out);
 
   /// Run `count` images through the engine, reusing the results' storage.
-  /// The accelerator-backed engines forward to the batched fast path (one
-  /// prepared-weight traversal for the whole batch) when it is enabled;
-  /// the default loops run_codes_into(). Results are bit-identical to the
-  /// sequential loop either way.
+  /// The cycle_accurate engine runs them through the fast path as one batch
+  /// (one prepared-weight traversal for all of them); the default loops
+  /// run_codes_into(). Results are bit-identical to the sequential loop
+  /// either way.
   virtual void run_codes_batched_into(const TensorI* codes, std::size_t count,
                                       hw::AccelRunResult* results);
 

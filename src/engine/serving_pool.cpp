@@ -97,9 +97,6 @@ ServingPool::ServingPool(const ir::LayerProgram& program, EngineKind kind,
   RSNN_REQUIRE(options_.replicas >= 1,
                "serving pool needs at least one replica, got "
                    << options_.replicas);
-  RSNN_REQUIRE(options_.workers_per_replica >= 1,
-               "workers_per_replica must be >= 1, got "
-                   << options_.workers_per_replica);
   RSNN_REQUIRE(
       options_.queue_capacity >= 1 ||
           options_.policy == AdmissionPolicy::kReject,
@@ -150,7 +147,7 @@ ServingPool::ServingPool(const ir::LayerProgram& program, EngineKind kind,
   replicas_.reserve(n);
   for (int r = 0; r < options_.replicas; ++r)
     replicas_.push_back(make_submitter(program_, kind_, options_.segments,
-                                       options_.workers_per_replica,
+                                       /*workers=*/1,
                                        options_.stage_queue_capacity,
                                        injector_.get(), r));
 
@@ -573,9 +570,8 @@ bool ServingPool::handle_quarantine(std::size_t replica_index) {
   std::unique_ptr<Submitter> rebuilt;
   try {
     rebuilt = make_submitter(program_, kind_, options_.segments,
-                             options_.workers_per_replica,
-                             options_.stage_queue_capacity, injector_.get(),
-                             static_cast<int>(replica_index));
+                             /*workers=*/1, options_.stage_queue_capacity,
+                             injector_.get(), static_cast<int>(replica_index));
   } catch (...) {
     return false;  // rebuild failed: retire the replica
   }

@@ -186,11 +186,9 @@ struct ServingPoolOptions {
   /// Identical replicas behind the queue (>= 1).
   int replicas = 1;
   /// Replica shape: a K-stage pipeline over these segments when non-empty
-  /// (must cover the whole program), a monolithic engine otherwise.
+  /// (must cover the whole program), otherwise a monolithic engine: a
+  /// one-worker StreamingExecutor.
   std::vector<ir::ProgramSegment> segments;
-  /// Streaming workers per monolithic replica (ignored for pipelined
-  /// replicas, whose lanes are their stages).
-  int workers_per_replica = 1;
   /// Inter-stage queue depth inside each pipelined replica.
   std::size_t stage_queue_capacity = 4;
 

@@ -1,10 +1,6 @@
 #include "hw/accelerator.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <bit>
-#include <exception>
-#include <iterator>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -17,15 +13,6 @@
 
 namespace rsnn::hw {
 namespace {
-
-/// Spike count of an activation-code tensor (popcount of all codes).
-std::int64_t code_spikes(const TensorI64& codes) {
-  std::int64_t spikes = 0;
-  const std::int64_t* data = codes.data();
-  for (std::int64_t i = 0; i < codes.numel(); ++i)
-    spikes += std::popcount(static_cast<std::uint64_t>(data[i]));
-  return spikes;
-}
 
 ir::LayerProgram lower_checked(const quant::QuantizedNetwork& qnet,
                                const AcceleratorConfig& config) {
@@ -72,6 +59,15 @@ AccelRunResult Accelerator::run_codes(WorkerState& state, const TensorI& codes,
   return run_codes_range(state, codes, 0, program_.size(), mode);
 }
 
+void Accelerator::require_range(const TensorI& codes, std::size_t begin,
+                                std::size_t end) const {
+  RSNN_REQUIRE(begin < end && end <= program_.size(),
+               "op range [" << begin << ", " << end << ") outside [0, "
+                            << program_.size() << ")");
+  RSNN_REQUIRE(codes.shape() == program_.op(begin).in_shape,
+               "input shape mismatch for op " << begin);
+}
+
 AccelRunResult Accelerator::run_codes_range(WorkerState& state,
                                             const TensorI& codes,
                                             std::size_t begin, std::size_t end,
@@ -80,40 +76,29 @@ AccelRunResult Accelerator::run_codes_range(WorkerState& state,
   RSNN_REQUIRE(state.owner == &program_,
                "WorkerState belongs to a different accelerator (create it "
                "with this accelerator's make_worker_state())");
-  RSNN_REQUIRE(begin < end && end <= program_.size(),
-               "op range [" << begin << ", " << end << ") outside [0, "
-                            << program_.size() << ")");
-  RSNN_REQUIRE(codes.shape() == program_.op(begin).in_shape,
-               "input shape mismatch for op " << begin);
-  switch (mode) {
-    case SimMode::kAnalytic:
-      return use_fast_path(mode)
-                 ? run_fast(state, codes, begin, end, boundary_codes)
-                 : run_analytic(codes, begin, end, boundary_codes);
-    case SimMode::kStepped:
-      return run_stepped(state, codes, begin, end, boundary_codes);
-    case SimMode::kCycleAccurate:
-      break;
+  require_range(codes, begin, end);
+  return mode == SimMode::kStepped
+             ? run_stepped(state, codes, begin, end, boundary_codes)
+             : run_fast(state.fast_arena, codes, begin, end, boundary_codes);
+}
+
+AccelRunResult Accelerator::run_codes_range(const TensorI& codes,
+                                            std::size_t begin, std::size_t end,
+                                            SimMode mode,
+                                            TensorI* boundary_codes) const {
+  if (mode == SimMode::kStepped) {
+    WorkerState state = make_worker_state();
+    return run_codes_range(state, codes, begin, end, mode, boundary_codes);
   }
-  return use_fast_path(mode)
-             ? run_fast(state, codes, begin, end, boundary_codes)
-             : run_stepped(state, codes, begin, end, boundary_codes);
+  // The fast path needs only activation scratch, not the unit simulators.
+  require_range(codes, begin, end);
+  common::Arena arena;
+  return run_fast(arena, codes, begin, end, boundary_codes);
 }
 
 void Accelerator::run_codes_into(WorkerState& state, const TensorI& codes,
                                  AccelRunResult& out, SimMode mode) const {
-  if (!use_fast_path(mode)) {
-    out = run_codes(state, codes, mode);
-    return;
-  }
-  RSNN_REQUIRE(state.owner == &program_,
-               "WorkerState belongs to a different accelerator (create it "
-               "with this accelerator's make_worker_state())");
-  RSNN_REQUIRE(codes.shape() == program_.op(0).in_shape,
-               "input shape mismatch for op 0");
-  reset_run_result(out);
-  run_fast_path(program_, fast_prepared(), state.fast_arena, codes, 0,
-                program_.size(), nullptr, out);
+  run_codes_batched_into(state, &codes, 1, &out, mode);
 }
 
 void Accelerator::run_codes_batched_into(WorkerState& state,
@@ -122,9 +107,9 @@ void Accelerator::run_codes_batched_into(WorkerState& state,
                                          AccelRunResult* results,
                                          SimMode mode) const {
   if (batch == 0) return;
-  if (!use_fast_path(mode) || batch == 1) {
+  if (mode == SimMode::kStepped) {
     for (std::size_t b = 0; b < batch; ++b)
-      run_codes_into(state, codes[b], results[b], mode);
+      results[b] = run_codes(state, codes[b], mode);
     return;
   }
   RSNN_REQUIRE(state.owner == &program_,
@@ -135,10 +120,10 @@ void Accelerator::run_codes_batched_into(WorkerState& state,
                  "input shape mismatch for op 0 (batch element " << b << ")");
     reset_run_result(results[b]);
   }
-  // fast_path.threads: 1 = sequential batched kernel on the worker's own
-  // arena; 0 = one slice per hardware thread; N = at most N slices. The
-  // parallel kernel runs the same per-slice code, so results stay
-  // bit-identical per image either way.
+  // fast_path.threads: 1 = the sequential driver on the worker's own arena;
+  // 0 = one slice per hardware thread; N = at most N slices. The parallel
+  // driver runs the same per-slice code, so results stay bit-identical per
+  // image either way.
   const int requested = program_.config().fast_path.threads;
   const std::size_t threads =
       requested == 1
@@ -147,13 +132,13 @@ void Accelerator::run_codes_batched_into(WorkerState& state,
                  ? std::max(1u, std::thread::hardware_concurrency())
                  : static_cast<std::size_t>(requested));
   if (threads > 1 && batch > 1) {
-    run_fast_path_batched_parallel(program_, fast_prepared(),
-                                   common::shared_task_pool(), codes, batch, 0,
-                                   program_.size(), nullptr, results, threads);
+    run_fast_path_parallel(program_, fast_prepared(),
+                           common::shared_task_pool(), codes, batch, 0,
+                           program_.size(), nullptr, results, threads);
     return;
   }
-  run_fast_path_batched(program_, fast_prepared(), state.fast_arena, codes,
-                        batch, 0, program_.size(), nullptr, results);
+  run_fast_path(program_, fast_prepared(), state.fast_arena, codes, batch, 0,
+                program_.size(), nullptr, results);
 }
 
 const FastPrepared& Accelerator::fast_prepared() const {
@@ -168,102 +153,13 @@ std::shared_ptr<const FastPrepared> Accelerator::fast_prepared_shared() const {
   return fast_cache_->prepared;
 }
 
-AccelRunResult Accelerator::run_fast(WorkerState& state, const TensorI& codes,
+AccelRunResult Accelerator::run_fast(common::Arena& arena, const TensorI& codes,
                                      std::size_t begin, std::size_t end,
                                      TensorI* boundary_codes) const {
   AccelRunResult result;
-  run_fast_path(program_, fast_prepared(), state.fast_arena, codes, begin, end,
-                boundary_codes, result);
+  run_fast_path(program_, fast_prepared(), arena, &codes, 1, begin, end,
+                boundary_codes, &result);
   return result;
-}
-
-AccelRunResult Accelerator::run_codes_range(const TensorI& codes,
-                                            std::size_t begin, std::size_t end,
-                                            SimMode mode,
-                                            TensorI* boundary_codes) const {
-  if (mode == SimMode::kAnalytic) {
-    RSNN_REQUIRE(begin < end && end <= program_.size(),
-                 "op range [" << begin << ", " << end << ") outside [0, "
-                              << program_.size() << ")");
-    if (!use_fast_path(mode))
-      return run_analytic(codes, begin, end, boundary_codes);
-    // Analytic on the fast path needs only activation scratch, not the unit
-    // simulators — a transient arena avoids the full WorkerState build.
-    RSNN_REQUIRE(codes.shape() == program_.op(begin).in_shape,
-                 "input shape mismatch for op " << begin);
-    common::Arena arena;
-    AccelRunResult result;
-    run_fast_path(program_, fast_prepared(), arena, codes, begin, end,
-                  boundary_codes, result);
-    return result;
-  }
-  WorkerState state = make_worker_state();
-  return run_codes_range(state, codes, begin, end, mode, boundary_codes);
-}
-
-std::vector<AccelRunResult> Accelerator::run_batch(
-    const std::vector<TensorF>& images, SimMode mode, int num_threads) const {
-  std::vector<TensorI> codes;
-  codes.reserve(images.size());
-  for (const TensorF& image : images)
-    codes.push_back(quant::encode_activations(image, program_.time_bits()));
-  return run_batch_codes(codes, mode, num_threads);
-}
-
-std::vector<AccelRunResult> Accelerator::run_batch_codes(
-    const std::vector<TensorI>& codes, SimMode mode, int num_threads) const {
-  std::vector<AccelRunResult> results(codes.size());
-  if (codes.empty()) return results;
-
-  std::size_t workers = num_threads > 0
-                            ? static_cast<std::size_t>(num_threads)
-                            : std::max(1u, std::thread::hardware_concurrency());
-  workers = std::min(workers, codes.size());
-
-  if (workers <= 1) {
-    WorkerState state = make_worker_state();
-    for (std::size_t i = 0; i < codes.size(); ++i)
-      results[i] = run_codes(state, codes[i], mode);
-    return results;
-  }
-
-  // Dynamic work distribution: each worker pulls the next image index. Every
-  // worker owns its own unit simulators and scratch, so the workers share
-  // only the (read-only) program.
-  std::atomic<std::size_t> next{0};
-  std::mutex error_mutex;
-  std::exception_ptr error;
-  const auto worker = [&]() {
-    WorkerState state = make_worker_state();
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= codes.size()) return;
-      try {
-        results[i] = run_codes(state, codes[i], mode);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!error) error = std::current_exception();
-        next.store(codes.size());  // drain the queue: fail fast, not at the end
-        return;
-      }
-    }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(workers - 1);
-  try {
-    for (std::size_t w = 0; w + 1 < workers; ++w) threads.emplace_back(worker);
-  } catch (...) {
-    // Thread creation failed (resource exhaustion): drain the queue so the
-    // already-running workers finish, join them, then surface the error.
-    next.store(codes.size());
-    for (std::thread& thread : threads) thread.join();
-    throw;
-  }
-  worker();  // the calling thread participates
-  for (std::thread& thread : threads) thread.join();
-  if (error) std::rethrow_exception(error);
-  return results;
 }
 
 AccelRunResult Accelerator::run_stepped(WorkerState& state,
@@ -419,58 +315,6 @@ AccelRunResult Accelerator::run_stepped(WorkerState& state,
   }
 
   finalize_run(result, cfg.cycle_ns());
-  return result;
-}
-
-AccelRunResult Accelerator::run_analytic(const TensorI& codes,
-                                         std::size_t begin, std::size_t end,
-                                         TensorI* boundary_codes) const {
-  AccelRunResult result;
-  result.layers.reserve(end - begin);
-  std::vector<TensorI64> layer_outputs;
-  // Map program op positions to network layer indices: identical for a
-  // whole-network program, offset for a segment-scoped sub-program.
-  const auto [net_begin, net_end] = program_.network_range(begin, end);
-  const TensorI64 final_out = program_.network().forward_layers(
-      codes.cast<std::int64_t>(), net_begin, net_end, &layer_outputs);
-  if (net_end == program_.network().layers.size()) {
-    result.logits = final_out.to_vector();
-  } else if (boundary_codes != nullptr) {
-    *boundary_codes = final_out.cast<std::int32_t>();
-  }
-
-  const TensorI64 input_codes = codes.cast<std::int64_t>();
-  const TensorI64* current = &input_codes;
-
-  for (std::size_t li = begin; li < end; ++li) {
-    const ir::LayerOp& op = program_.op(li);
-    LayerStats stats;
-    stats.name = op.name();
-    stats.cycles = op.latency.total_cycles;
-    stats.dram_cycles = op.latency.dram_cycles;
-    stats.traffic = op.latency.traffic;
-    stats.input_spikes = code_spikes(*current);
-    // Exact activity: one fired addition per (spike, consuming adder) — the
-    // same event count the cycle-accurate units and the functional SNN
-    // produce (border spikes fan out to fewer adders).
-    stats.adder_ops = ir::exact_adder_ops(op, *current);
-
-    result.total_cycles += stats.cycles;
-    result.total_adder_ops += stats.adder_ops;
-    result.dram_bits += op.latency.traffic.dram_bits;
-    result.traffic_total.act_read_bits += op.latency.traffic.act_read_bits;
-    result.traffic_total.act_write_bits += op.latency.traffic.act_write_bits;
-    result.traffic_total.weight_read_bits +=
-        op.latency.traffic.weight_read_bits;
-    result.traffic_total.dram_bits += op.latency.traffic.dram_bits;
-    result.layers.push_back(std::move(stats));
-
-    // Next layer's input codes are this layer's traced outputs (valid for
-    // all but the final raw layer).
-    if (li - begin < layer_outputs.size()) current = &layer_outputs[li - begin];
-  }
-
-  finalize_run(result, program_.config().cycle_ns());
   return result;
 }
 

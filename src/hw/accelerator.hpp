@@ -8,22 +8,16 @@
 //
 // The accelerator executes a lowered ir::LayerProgram — the compiler's one
 // mapping of the network onto the design — rather than re-deriving layer
-// semantics from the QLayer variant. Three simulation modes:
-//   * kCycleAccurate — the default verification mode. With the config's
-//     fast path enabled (the default) it runs the code-domain fast path
-//     (hw/fast_path): bit-identical logits, cycles, adder ops and traffic,
-//     an order of magnitude faster. With fast_path.enable = false it falls
-//     back to the stepped dataflow.
-//   * kStepped — always the golden stepped dataflow: every op runs on the
-//     bit-true unit simulators and cycle counts come from stepping. The
-//     equivalence anchor the fast path is pinned against.
-//   * kAnalytic — logits from code-domain arithmetic (invariant 1/2) and
-//     cycles from the program's precomputed hw/latency_model annotations
-//     (identical totals by invariant 4). With the fast path enabled it runs
-//     the same code-domain kernels as kCycleAccurate — the fast path's
-//     accounting *is* the analytic model's — so VGG-scale runs skip the
-//     functional reference forward entirely; with fast_path.enable = false
-//     it falls back to the QuantizedNetwork reference.
+// semantics from the QLayer variant. Two simulation modes:
+//   * kCycleAccurate — the default: the code-domain fast path
+//     (hw/fast_path). Logits come from code-domain arithmetic (invariants
+//     1/2), cycles and traffic from the program's latency annotations, adder
+//     ops from the exact activity rule — bit-identical to kStepped and an
+//     order of magnitude faster. One image runs as a batch of one through
+//     the same driver that runs a batch.
+//   * kStepped — the golden stepped dataflow: every op runs on the bit-true
+//     unit simulators and cycle counts come from stepping. The anchor the
+//     fast path and the latency annotations (invariant 4) are pinned to.
 #pragma once
 
 #include <memory>
@@ -47,7 +41,12 @@
 
 namespace rsnn::hw {
 
-enum class SimMode { kCycleAccurate, kStepped, kAnalytic };
+enum class SimMode {
+  kCycleAccurate,
+  kStepped,
+  /// Former name of the fast-path mode, kept as an alias for old callers.
+  kAnalytic = kCycleAccurate,
+};
 
 class Accelerator {
  public:
@@ -95,24 +94,23 @@ class Accelerator {
 
   /// As run_codes(), additionally reusing `out`'s storage for the result.
   /// On the fast path a warm (state, out) pair makes the whole inference
-  /// allocation-free; other modes fall back to assigning a fresh result.
+  /// allocation-free; kStepped assigns a fresh result.
   void run_codes_into(WorkerState& state, const TensorI& codes,
                       AccelRunResult& out,
                       SimMode mode = SimMode::kCycleAccurate) const;
 
   /// Run `batch` whole-program inferences through one prepared-weight
-  /// traversal of the batched fast path (hw/fast_path): each weight tile is
-  /// loaded once and applied to every image, amortizing the cache misses
-  /// that dominate per-image runs. `codes` and `results` point at `batch`
+  /// traversal of the fast path (hw/fast_path): each weight tile is loaded
+  /// once and applied to every image, amortizing the cache misses that
+  /// dominate per-image runs. `codes` and `results` point at `batch`
   /// elements; every results[b] is bit-identical to run_codes_into(state,
-  /// codes[b], results[b], mode). Modes that cannot use the fast path (and
-  /// trivial batches) fall back to the sequential loop. A warm (state,
-  /// results) pair keeps the whole call allocation-free.
+  /// codes[b], results[b], mode). kStepped runs the images one by one. A
+  /// warm (state, results) pair keeps the whole call allocation-free.
   ///
-  /// With config().fast_path.threads != 1 the batch splits into contiguous
-  /// image slices executed fork/join per op on common::shared_task_pool()
-  /// (hw/fast_path run_fast_path_batched_parallel): same kernels, same
-  /// per-image results, one shared weight stream across cores.
+  /// With config().fast_path.threads != 1 a batch of two or more splits into
+  /// contiguous image slices executed fork/join per op on
+  /// common::shared_task_pool() (hw/fast_path run_fast_path_parallel): same
+  /// kernels, same per-image results, one shared weight stream across cores.
   void run_codes_batched_into(WorkerState& state, const TensorI* codes,
                               std::size_t batch, AccelRunResult* results,
                               SimMode mode = SimMode::kCycleAccurate) const;
@@ -129,24 +127,12 @@ class Accelerator {
                                  SimMode mode = SimMode::kCycleAccurate,
                                  TensorI* boundary_codes = nullptr) const;
 
-  /// As run_codes_range(), allocating transient state as needed.
+  /// As run_codes_range(), with transient scratch: the fast path needs only
+  /// an arena, kStepped a fresh WorkerState.
   AccelRunResult run_codes_range(const TensorI& codes, std::size_t begin,
                                  std::size_t end,
                                  SimMode mode = SimMode::kCycleAccurate,
                                  TensorI* boundary_codes = nullptr) const;
-
-  /// Evaluate a batch of images across a pool of `num_threads` worker
-  /// threads (hardware concurrency when <= 0). Each worker owns its own
-  /// WorkerState; results are index-aligned with `images` and identical to
-  /// running run_image sequentially.
-  std::vector<AccelRunResult> run_batch(
-      const std::vector<TensorF>& images,
-      SimMode mode = SimMode::kCycleAccurate, int num_threads = 0) const;
-
-  /// As run_batch(), for pre-encoded activation codes.
-  std::vector<AccelRunResult> run_batch_codes(
-      const std::vector<TensorI>& codes,
-      SimMode mode = SimMode::kCycleAccurate, int num_threads = 0) const;
 
   const AcceleratorConfig& config() const { return program_.config(); }
   const quant::QuantizedNetwork& network() const { return program_.network(); }
@@ -187,24 +173,18 @@ class Accelerator {
   mutable std::shared_ptr<FastCache> fast_cache_ = std::make_shared<FastCache>();
   const FastPrepared& fast_prepared() const;
 
-  /// The fast path serves both kCycleAccurate and kAnalytic (its counters
-  /// are the annotation-derived analytic model's, its logits exact);
-  /// kStepped always runs the golden stepped dataflow.
-  bool use_fast_path(SimMode mode) const {
-    return mode != SimMode::kStepped && program_.config().fast_path.enable;
-  }
-
-  /// The code-domain fast path (hw/fast_path) — what kCycleAccurate runs
-  /// unless the config disables it.
-  AccelRunResult run_fast(WorkerState& state, const TensorI& codes,
+  /// Checks shared by every run_codes_range() entry.
+  void require_range(const TensorI& codes, std::size_t begin,
+                     std::size_t end) const;
+  /// The code-domain fast path (hw/fast_path) on one image, with scratch
+  /// from `arena`.
+  AccelRunResult run_fast(common::Arena& arena, const TensorI& codes,
                           std::size_t begin, std::size_t end,
                           TensorI* boundary_codes) const;
   /// The golden stepped dataflow (bit-true unit simulators).
   AccelRunResult run_stepped(WorkerState& state, const TensorI& codes,
                              std::size_t begin, std::size_t end,
                              TensorI* boundary_codes) const;
-  AccelRunResult run_analytic(const TensorI& codes, std::size_t begin,
-                              std::size_t end, TensorI* boundary_codes) const;
 };
 
 }  // namespace rsnn::hw

@@ -77,15 +77,15 @@ enum class LayoutPolicy {
 /// change logits, cycles, adder ops or traffic — the equivalence suite sweeps
 /// every combination against the stepped dataflow.
 struct FastPathOptions {
-  bool enable = true;          ///< fall back to the stepped dataflow when false
   LayoutPolicy layout = LayoutPolicy::kAuto;
   bool fuse_conv_pool = true;  ///< run conv+pool pairs as one fused pass
-  /// Host threads for the batched kernels: the batch splits into contiguous
-  /// image slices executed fork/join per op on common::shared_task_pool(),
-  /// so all slices stream one prepared weight pack together. 1 = sequential
-  /// (the default), 0 = one slice per hardware thread. Like every fast-path
-  /// option this never changes what is counted — per-image logits, cycles,
-  /// adder ops and traffic stay bit-identical to the sequential kernel.
+  /// Host threads for a batch of two or more images: the batch splits into
+  /// contiguous image slices executed fork/join per op on
+  /// common::shared_task_pool(), so all slices stream one prepared weight
+  /// pack together. 1 = sequential (the default), 0 = one slice per
+  /// hardware thread. Like every fast-path option this never changes what
+  /// is counted — per-image logits, cycles, adder ops and traffic stay
+  /// bit-identical to the sequential driver.
   int threads = 1;
 };
 

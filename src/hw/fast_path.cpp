@@ -4,7 +4,6 @@
 #include <atomic>
 #include <bit>
 #include <cstddef>
-#include <cstring>
 #include <iterator>
 #include <map>
 #include <mutex>
@@ -68,50 +67,12 @@ AxisBounds out_bounds(std::int64_t j, std::int64_t pad, std::int64_t str,
   return {lo, hi};
 }
 
-/// exact_adder_ops for a conv op, via the prepared coverage tables: a spike
-/// at (ic, iy, ix) fires county[iy] * countx[ix] adders in each of the Cout
-/// output planes.
-std::int64_t conv_adder_ops(const std::int64_t* in, std::int64_t cin,
-                            std::int64_t ih, std::int64_t iw,
-                            const std::int64_t* county,
-                            const std::int64_t* countx, std::int64_t cout) {
-  std::int64_t ops = 0;
-  const std::int64_t* p = in;
-  for (std::int64_t c = 0; c < cin; ++c) {
-    for (std::int64_t y = 0; y < ih; ++y) {
-      const std::int64_t cy = county[y];
-      for (std::int64_t x = 0; x < iw; ++x, ++p)
-        ops += std::popcount(static_cast<std::uint64_t>(*p)) * cy * countx[x];
-    }
-  }
-  return ops * cout;
-}
+// --- Per-image counters over an interleaved batch ---------------------------
+// Activations are stored image-minor (buf[idx * B + b]); each counter is
+// accumulated into a per-image slot, so every image's stats match its solo
+// run exactly.
 
-/// exact_adder_ops for a pool op: spikes within the covered region
-/// (iy / k < oh, ix / k < ow) each fire one adder.
-std::int64_t pool_covered_spikes(const std::int64_t* in, std::int64_t channels,
-                                 std::int64_t ih, std::int64_t iw,
-                                 std::int64_t k, std::int64_t oh,
-                                 std::int64_t ow) {
-  std::int64_t spikes = 0;
-  const std::int64_t* p = in;
-  for (std::int64_t c = 0; c < channels; ++c) {
-    for (std::int64_t y = 0; y < ih; ++y) {
-      const bool y_covered = y / k < oh;
-      for (std::int64_t x = 0; x < iw; ++x, ++p) {
-        if (y_covered && x / k < ow)
-          spikes += std::popcount(static_cast<std::uint64_t>(*p));
-      }
-    }
-  }
-  return spikes;
-}
-
-// --- Per-image counter variants over an interleaved batch ------------------
-// Batched activations are stored image-minor (buf[idx * B + b]); each
-// counter is the same expression as the scalar version, accumulated into a
-// per-image slot so every image's stats match its solo run exactly.
-
+/// Input spikes: the popcount of each image's codes.
 void popcount_per_image(const std::int64_t* buf, std::int64_t n,
                         std::int64_t batch, std::int64_t* out) {
   std::fill(out, out + batch, std::int64_t{0});
@@ -122,6 +83,9 @@ void popcount_per_image(const std::int64_t* buf, std::int64_t n,
   }
 }
 
+/// exact_adder_ops for a conv op, via the prepared coverage tables: a spike
+/// at (ic, iy, ix) fires county[iy] * countx[ix] adders in each of the Cout
+/// output planes.
 void conv_adder_ops_per_image(const std::int64_t* in, std::int64_t cin,
                               std::int64_t ih, std::int64_t iw,
                               const std::int64_t* county,
@@ -143,6 +107,8 @@ void conv_adder_ops_per_image(const std::int64_t* in, std::int64_t cin,
   for (std::int64_t b = 0; b < batch; ++b) out[b] *= cout;
 }
 
+/// exact_adder_ops for a pool op: spikes within the covered region
+/// (iy / k < oh, ix / k < ow) each fire one adder.
 void pool_covered_per_image(const std::int64_t* in, std::int64_t channels,
                             std::int64_t ih, std::int64_t iw, std::int64_t k,
                             std::int64_t oh, std::int64_t ow,
@@ -163,48 +129,13 @@ void pool_covered_per_image(const std::int64_t* in, std::int64_t channels,
 
 // --- Conv kernels, CHW -----------------------------------------------------
 
-/// One conv output channel in CHW order: accumulate into acc[oh*ow], then
-/// requantize in place. Taps iterate (ic, ky, kx)-outer so the inner loop is
-/// a contiguous row axpy (handed to the SIMD dispatch table); zero weights
-/// (common at 3-bit resolution) skip their whole plane pass.
-void conv_channel_chw(const QConv2d& conv, const std::int64_t* in,
-                      std::int64_t ih, std::int64_t iw, std::int64_t oh,
-                      std::int64_t ow, std::int64_t oc, const Kernels& K,
-                      std::int64_t* acc) {
-  std::fill(acc, acc + oh * ow, std::int64_t{0});
-  const std::int64_t k = conv.kernel, str = conv.stride, pad = conv.padding;
-  const std::int32_t* wbase =
-      conv.weight.data() + oc * conv.in_channels * k * k;
-  for (std::int64_t ic = 0; ic < conv.in_channels; ++ic) {
-    const std::int64_t* plane = in + ic * ih * iw;
-    const std::int32_t* wch = wbase + ic * k * k;
-    for (std::int64_t ky = 0; ky < k; ++ky) {
-      const AxisBounds by = out_bounds(ky, pad, str, ih, oh);
-      for (std::int64_t kx = 0; kx < k; ++kx) {
-        const std::int64_t w = wch[ky * k + kx];
-        if (w == 0) continue;
-        const AxisBounds bx = out_bounds(kx, pad, str, iw, ow);
-        const std::int64_t x0 = kx - pad;
-        for (std::int64_t oy = by.lo; oy < by.hi; ++oy) {
-          const std::int64_t* row = plane + (oy * str + ky - pad) * iw;
-          std::int64_t* arow = acc + oy * ow;
-          prefetch_ro(row + str * iw);  // next oy's input row
-          if (str == 1) {
-            K.axpy_code_i64(arow + bx.lo, row + x0 + bx.lo, w, bx.hi - bx.lo);
-          } else {
-            for (std::int64_t ox = bx.lo; ox < bx.hi; ++ox)
-              arow[ox] += w * row[x0 + ox * str];
-          }
-        }
-      }
-    }
-  }
-}
-
-/// Batched CHW conv channel over image-minor interleaved activations: with
-/// stride 1 consecutive output pixels read consecutive interleaved input
-/// pixels, so a whole row segment of all B images is ONE contiguous axpy of
-/// length (hi-lo)*B — the weight is loaded once for the entire batch row.
+/// One conv output channel in CHW order over image-minor interleaved
+/// activations: accumulate into acc[oh*ow*B] (finish_channel requantizes).
+/// Taps iterate (ic, ky, kx)-outer so the inner loop is a contiguous row
+/// axpy handed to the SIMD dispatch table; zero weights (common at 3-bit
+/// resolution) skip their whole plane pass. With stride 1 consecutive output
+/// pixels read consecutive interleaved input pixels, so a row segment of all
+/// B images is ONE contiguous axpy of length (hi-lo)*B.
 void conv_channel_chw_batched(const QConv2d& conv, const std::int64_t* in,
                               std::int64_t ih, std::int64_t iw, std::int64_t oh,
                               std::int64_t ow, std::int64_t oc,
@@ -232,9 +163,11 @@ void conv_channel_chw_batched(const QConv2d& conv, const std::int64_t* in,
             prefetch_ro(src + str * iw * batch);  // next oy's input row
             K.axpy_code_i64(arow, src, w, (bx.hi - bx.lo) * batch);
           } else {
-            for (std::int64_t ox = bx.lo; ox < bx.hi; ++ox, arow += batch)
-              K.axpy_code_i64(arow, plane + (iy * iw + x0 + ox * str) * batch,
-                              w, batch);
+            for (std::int64_t ox = bx.lo; ox < bx.hi; ++ox, arow += batch) {
+              const std::int64_t* src =
+                  plane + (iy * iw + x0 + ox * str) * batch;
+              for (std::int64_t b = 0; b < batch; ++b) arow[b] += w * src[b];
+            }
           }
         }
       }
@@ -281,83 +214,23 @@ std::int64_t hwc_strip_height(std::int64_t iw, std::int64_t cin,
 }
 
 /// Whole conv layer in HWC order, writing finished codes to
-/// out_hwc[oh*ow][Cout]. The input is repacked CHW -> HWC one output-row
-/// strip at a time (the strip stays cache-resident; halo rows between strips
-/// are repacked twice). Per output pixel an acc[Cout] register block
-/// accumulates with the prepared [ky][kx][Cin][Cout] weights, skipping zero
-/// activations (spike sparsity), with the contiguous output-channel inner
-/// loop handed to the SIMD dispatch table.
-void conv_hwc(const QConv2d& conv, const std::int64_t* in, std::int64_t ih,
-              std::int64_t iw, std::int64_t oh, std::int64_t ow,
-              const std::int8_t* whwc, int time_bits, const Kernels& K,
-              common::Arena& arena, std::int64_t* out_hwc) {
-  const std::int64_t cin = conv.in_channels, cout = conv.out_channels;
-  const std::int64_t k = conv.kernel, str = conv.stride, pad = conv.padding;
-
-  const std::int64_t strip_oh = hwc_strip_height(iw, cin, 1, k, str, oh);
-  const std::int64_t rows_cap = std::min(ih, (strip_oh - 1) * str + k);
-  std::int64_t* tile = arena.alloc<std::int64_t>(rows_cap * iw * cin);
-  std::int64_t* acc = arena.alloc<std::int64_t>(cout);
-  const std::int64_t* bias = conv.bias.data();
-  const std::int32_t* cf =
-      conv.channel_frac.numel() > 0 ? conv.channel_frac.data() : nullptr;
-
-  for (std::int64_t oy0 = 0; oy0 < oh; oy0 += strip_oh) {
-    const std::int64_t oy1 = std::min(oh, oy0 + strip_oh);
-    const std::int64_t ty0 = std::max<std::int64_t>(0, oy0 * str - pad);
-    const std::int64_t ty1 =
-        std::max(ty0, std::min(ih, (oy1 - 1) * str + k - pad));
-    for (std::int64_t c = 0; c < cin; ++c) {
-      const std::int64_t* plane = in + c * ih * iw;
-      for (std::int64_t iy = ty0; iy < ty1; ++iy)
-        for (std::int64_t ix = 0; ix < iw; ++ix)
-          tile[((iy - ty0) * iw + ix) * cin + c] = plane[iy * iw + ix];
-    }
-    for (std::int64_t oy = oy0; oy < oy1; ++oy) {
-      for (std::int64_t ox = 0; ox < ow; ++ox) {
-        std::fill(acc, acc + cout, std::int64_t{0});
-        for (std::int64_t ky = 0; ky < k; ++ky) {
-          const std::int64_t iy = oy * str + ky - pad;
-          if (iy < 0 || iy >= ih) continue;
-          for (std::int64_t kx = 0; kx < k; ++kx) {
-            const std::int64_t ix = ox * str + kx - pad;
-            if (ix < 0 || ix >= iw) continue;
-            const std::int64_t* px = tile + ((iy - ty0) * iw + ix) * cin;
-            const std::int8_t* wk = whwc + (ky * k + kx) * cin * cout;
-            for (std::int64_t ic = 0; ic < cin; ++ic) {
-              const std::int64_t a = px[ic];
-              if (a == 0) continue;
-              // [cin][cout] rows are contiguous across taps, so the
-              // prefetch rolls into the next tap's tile at block ends.
-              prefetch_ro(wk + (ic + kPrefetchRows) * cout);
-              K.axpy_w8(acc, wk + ic * cout, a, cout);
-            }
-          }
-        }
-        std::int64_t* dst = out_hwc + (oy * ow + ox) * cout;
-        if (conv.requantize) {
-          for (std::int64_t oc = 0; oc < cout; ++oc)
-            dst[oc] = quant::requantize_value(
-                acc[oc], bias[oc], cf ? cf[oc] : conv.frac_bits, time_bits);
-        } else {
-          for (std::int64_t oc = 0; oc < cout; ++oc)
-            dst[oc] = acc[oc] + bias[oc];
-        }
-      }
-    }
-  }
-}
-
-/// Batched HWC conv: the repacked strip interleaves images per input pixel
-/// ([row][x][Cin][B]) and the accumulator block holds all images
-/// ([B][Cout]), so each prepared weight row is applied to every image in the
-/// batch while it is hot in cache. Output goes to out_hwcb[pix][B][Cout]
-/// (finished codes, contiguous per image).
-void conv_hwc_batched(const QConv2d& conv, const std::int64_t* in,
-                      std::int64_t ih, std::int64_t iw, std::int64_t oh,
-                      std::int64_t ow, const std::int8_t* whwc, int time_bits,
-                      std::int64_t batch, const Kernels& K,
-                      common::Arena& arena, std::int64_t* out_hwcb) {
+/// out_hwcb[oh*ow][B][Cout]. The input is repacked CHW -> HWC one output-row
+/// strip at a time ([row][x][Cin][B]; the strip stays cache-resident and
+/// halo rows between strips are repacked twice). Per output pixel an
+/// acc[B][Cout] block accumulates with the prepared [ky][kx][Cin][Cout]
+/// weights, so each weight row is applied to every image while it is hot in
+/// cache, with the contiguous output-channel inner loop handed to the SIMD
+/// dispatch table. Rows whose activation is zero in every image (spike
+/// sparsity) are skipped before their prefetch. The body is compiled for a
+/// fixed kBatch of 1 and for a runtime batch (kBatch == 0), so a single
+/// image runs with its batch loops folded away.
+template <std::int64_t kBatch>
+void conv_hwc_impl(const QConv2d& conv, const std::int64_t* in,
+                   std::int64_t ih, std::int64_t iw, std::int64_t oh,
+                   std::int64_t ow, const std::int8_t* whwc, int time_bits,
+                   std::int64_t runtime_batch, const Kernels& K,
+                   common::Arena& arena, std::int64_t* out_hwcb) {
+  const std::int64_t batch = kBatch > 0 ? kBatch : runtime_batch;
   const std::int64_t cin = conv.in_channels, cout = conv.out_channels;
   const std::int64_t k = conv.kernel, str = conv.stride, pad = conv.padding;
 
@@ -377,10 +250,11 @@ void conv_hwc_batched(const QConv2d& conv, const std::int64_t* in,
     for (std::int64_t c = 0; c < cin; ++c) {
       for (std::int64_t iy = ty0; iy < ty1; ++iy) {
         const std::int64_t* srow = in + ((c * ih + iy) * iw) * batch;
-        for (std::int64_t ix = 0; ix < iw; ++ix)
-          std::memcpy(tile + (((iy - ty0) * iw + ix) * cin + c) * batch,
-                      srow + ix * batch,
-                      static_cast<std::size_t>(batch) * sizeof(std::int64_t));
+        for (std::int64_t ix = 0; ix < iw; ++ix) {
+          const std::int64_t* src = srow + ix * batch;
+          std::int64_t* dst = tile + (((iy - ty0) * iw + ix) * cin + c) * batch;
+          for (std::int64_t b = 0; b < batch; ++b) dst[b] = src[b];
+        }
       }
     }
     for (std::int64_t oy = oy0; oy < oy1; ++oy) {
@@ -396,8 +270,13 @@ void conv_hwc_batched(const QConv2d& conv, const std::int64_t* in,
                 tile + ((iy - ty0) * iw + ix) * cin * batch;
             const std::int8_t* wk = whwc + (ky * k + kx) * cin * cout;
             for (std::int64_t ic = 0; ic < cin; ++ic) {
-              const std::int8_t* wrow = wk + ic * cout;
               const std::int64_t* a_b = px + ic * batch;
+              std::int64_t live = 0;
+              for (std::int64_t b = 0; b < batch; ++b) live |= a_b[b];
+              if (live == 0) continue;
+              const std::int8_t* wrow = wk + ic * cout;
+              // [cin][cout] rows are contiguous across taps, so the
+              // prefetch rolls into the next tap's tile at block ends.
               prefetch_ro(wrow + kPrefetchRows * cout);
               for (std::int64_t b = 0; b < batch; ++b) {
                 const std::int64_t a = a_b[b];
@@ -425,75 +304,51 @@ void conv_hwc_batched(const QConv2d& conv, const std::int64_t* in,
   }
 }
 
-// --- Pool kernels ----------------------------------------------------------
-
-/// Average-pool one CHW plane into out (CHW), mirroring
-/// quant pool_forward: window sum then arithmetic right shift.
-void pool_plane(const std::int64_t* plane, std::int64_t iw, std::int64_t k,
-                int shift, std::int64_t oh, std::int64_t ow,
-                std::int64_t* out) {
-  for (std::int64_t oy = 0; oy < oh; ++oy) {
-    for (std::int64_t ox = 0; ox < ow; ++ox) {
-      std::int64_t acc = 0;
-      const std::int64_t* win = plane + oy * k * iw + ox * k;
-      for (std::int64_t ky = 0; ky < k; ++ky)
-        for (std::int64_t kx = 0; kx < k; ++kx) acc += win[ky * iw + kx];
-      out[oy * ow + ox] = acc >> shift;
-    }
-  }
+void conv_hwc_batched(const QConv2d& conv, const std::int64_t* in,
+                      std::int64_t ih, std::int64_t iw, std::int64_t oh,
+                      std::int64_t ow, const std::int8_t* whwc, int time_bits,
+                      std::int64_t batch, const Kernels& K,
+                      common::Arena& arena, std::int64_t* out_hwcb) {
+  if (batch == 1)
+    conv_hwc_impl<1>(conv, in, ih, iw, oh, ow, whwc, time_bits, 1, K, arena,
+                     out_hwcb);
+  else
+    conv_hwc_impl<0>(conv, in, ih, iw, oh, ow, whwc, time_bits, batch, K,
+                     arena, out_hwcb);
 }
 
-/// Batched pool over one interleaved CHW plane: each window tap is an
-/// elementwise add of all B images' pixels. `acc` is caller scratch of B.
+// --- Pool kernels ----------------------------------------------------------
+
+/// Average-pool one interleaved CHW plane, mirroring quant pool_forward:
+/// each image's window sum accumulates in a local, then an arithmetic right
+/// shift.
 void pool_plane_batched(const std::int64_t* plane, std::int64_t iw,
                         std::int64_t k, int shift, std::int64_t oh,
-                        std::int64_t ow, std::int64_t batch, const Kernels& K,
-                        std::int64_t* acc, std::int64_t* out) {
+                        std::int64_t ow, std::int64_t batch,
+                        std::int64_t* out) {
   for (std::int64_t oy = 0; oy < oh; ++oy) {
     for (std::int64_t ox = 0; ox < ow; ++ox) {
-      std::fill(acc, acc + batch, std::int64_t{0});
       const std::int64_t* win = plane + (oy * k * iw + ox * k) * batch;
-      for (std::int64_t ky = 0; ky < k; ++ky)
-        for (std::int64_t kx = 0; kx < k; ++kx)
-          K.add_i64(acc, win + (ky * iw + kx) * batch, batch);
       std::int64_t* o = out + (oy * ow + ox) * batch;
-      for (std::int64_t b = 0; b < batch; ++b) o[b] = acc[b] >> shift;
+      for (std::int64_t b = 0; b < batch; ++b) {
+        std::int64_t acc = 0;
+        for (std::int64_t ky = 0; ky < k; ++ky)
+          for (std::int64_t kx = 0; kx < k; ++kx)
+            acc += win[(ky * iw + kx) * batch + b];
+        o[b] = acc >> shift;
+      }
     }
   }
 }
 
 // --- Linear kernels --------------------------------------------------------
 
-/// Linear layer with the prepared transposed weights [in][out]: zero input
-/// codes (no spikes) skip their whole weight row; live rows are one
-/// contiguous SIMD axpy over the output features.
-void linear_fast(const QLinear& fc, const std::int64_t* in,
-                 const std::int8_t* wt, int time_bits, const Kernels& K,
-                 std::int64_t* out) {
-  const std::int64_t nin = fc.in_features, nout = fc.out_features;
-  std::fill(out, out + nout, std::int64_t{0});
-  for (std::int64_t i = 0; i < nin; ++i) {
-    const std::int64_t a = in[i];
-    if (a == 0) continue;
-    prefetch_ro(wt + (i + kPrefetchRows) * nout);
-    K.axpy_w8(out, wt + i * nout, a, nout);
-  }
-  const std::int64_t* bias = fc.bias.data();
-  if (!fc.requantize) {
-    for (std::int64_t o = 0; o < nout; ++o) out[o] += bias[o];
-    return;
-  }
-  const std::int32_t* cf =
-      fc.channel_frac.numel() > 0 ? fc.channel_frac.data() : nullptr;
-  for (std::int64_t o = 0; o < nout; ++o)
-    out[o] = quant::requantize_value(out[o], bias[o],
-                                     cf ? cf[o] : fc.frac_bits, time_bits);
-}
-
-/// Batched linear: per-image contiguous accumulator rows ([B][nout] in
-/// `scratch`), with each transposed weight row applied to all images while
-/// resident — the weight matrix is streamed once per batch instead of once
-/// per image. Output is re-interleaved image-minor into `out`.
+/// Linear layer with the prepared transposed weights [in][out]: per-image
+/// contiguous accumulator rows ([B][nout] in `scratch`), with each weight
+/// row applied to all images while resident, so the matrix streams once per
+/// batch. A row whose input code is zero in every image (no spikes) is
+/// skipped; live rows are contiguous SIMD axpys over the output features.
+/// Output is re-interleaved image-minor into `out`.
 void linear_fast_batched(const QLinear& fc, const std::int64_t* in,
                          const std::int8_t* wt, int time_bits,
                          std::int64_t batch, const Kernels& K,
@@ -502,6 +357,9 @@ void linear_fast_batched(const QLinear& fc, const std::int64_t* in,
   std::fill(scratch, scratch + batch * nout, std::int64_t{0});
   for (std::int64_t i = 0; i < nin; ++i) {
     const std::int64_t* px = in + i * batch;
+    std::int64_t live = 0;
+    for (std::int64_t b = 0; b < batch; ++b) live |= px[b];
+    if (live == 0) continue;
     const std::int8_t* wrow = wt + i * nout;
     prefetch_ro(wrow + kPrefetchRows * nout);
     for (std::int64_t b = 0; b < batch; ++b) {
@@ -645,187 +503,15 @@ FastPrepared prepare_fast_path(const ir::LayerProgram& program) {
   return prep;
 }
 
-void run_fast_path(const ir::LayerProgram& program, const FastPrepared& prep,
-                   common::Arena& arena, const TensorI& codes,
-                   std::size_t begin, std::size_t end, TensorI* boundary_codes,
-                   AccelRunResult& result) {
-  arena.reset();
-  const Kernels& K = common::simd::kernels();
-  const int T = program.time_bits();
-  const std::size_t n_layers = program.network().layers.size();
-  result.layers.reserve(end - begin);
-
-  // Activations travel between ops as dense int64 code tensors in CHW order
-  // (the canonical order of the reference model); HWC is an intra-op layout.
-  const std::int64_t n_in = codes.numel();
-  std::int64_t* cur = arena.alloc<std::int64_t>(n_in);
-  const std::int32_t* cp = codes.data();
-  for (std::int64_t i = 0; i < n_in; ++i) cur[i] = cp[i];
-
-  std::size_t li = begin;
-  while (li < end) {
-    const ir::LayerOp& op = program.op(li);
-    const bool network_final =
-        static_cast<std::size_t>(op.layer_index) + 1 == n_layers;
-    RSNN_ENSURE(op.requantize || network_final || op.kind == ir::OpKind::kPool ||
-                    op.kind == ir::OpKind::kFlatten,
-                "non-final layer must requantize");
-    LayerStats stats = annotated_stats(op);
-    stats.input_spikes = popcount_sum(cur, op.in_shape.numel());
-    const FastPrepared::OpPrep& p = prep.ops[li];
-    std::size_t consumed = 1;
-
-    switch (op.kind) {
-      case ir::OpKind::kFlatten: {
-        // CHW -> flat is the identity on a contiguous buffer; the op only
-        // moves data between the 2-D and 1-D ping-pong pairs.
-        stats.adder_ops = 0;
-        accumulate_layer(result, std::move(stats));
-        break;
-      }
-      case ir::OpKind::kConv: {
-        const QConv2d& conv = *op.conv;
-        const std::int64_t ih = op.in_shape.dim(1), iw = op.in_shape.dim(2);
-        const std::int64_t oh = op.out_shape.dim(1), ow = op.out_shape.dim(2);
-        const std::int64_t cout = conv.out_channels;
-        stats.adder_ops =
-            conv_adder_ops(cur, conv.in_channels, ih, iw, p.county.data(),
-                           p.countx.data(), cout);
-        // A fused pair must lie entirely inside the executed range: a conv
-        // at a segment cut runs unfused so the boundary codes stay its own.
-        const bool fuse = op.fuse_with_next && li + 1 < end;
-        if (!fuse) {
-          std::int64_t* out = arena.alloc<std::int64_t>(cout * oh * ow);
-          if (op.fast_layout == DataLayout::kHwc) {
-            std::int64_t* out_hwc = arena.alloc<std::int64_t>(oh * ow * cout);
-            conv_hwc(conv, cur, ih, iw, oh, ow, p.weights.data(), T, K, arena,
-                     out_hwc);
-            for (std::int64_t oc = 0; oc < cout; ++oc)
-              for (std::int64_t i = 0; i < oh * ow; ++i)
-                out[oc * oh * ow + i] = out_hwc[i * cout + oc];
-          } else {
-            for (std::int64_t oc = 0; oc < cout; ++oc) {
-              std::int64_t* plane = out + oc * oh * ow;
-              conv_channel_chw(conv, cur, ih, iw, oh, ow, oc, K, plane);
-              finish_channel(conv, oc, T, plane, oh * ow);
-            }
-          }
-          accumulate_layer(result, std::move(stats));
-          cur = out;
-          break;
-        }
-
-        // Fused conv+pool: the pool consumes conv codes straight from
-        // scratch, skipping the intermediate CHW activation tensor. Both
-        // ops' stats are emitted exactly as if they ran back to back.
-        const ir::LayerOp& pool_op = program.op(li + 1);
-        const QPool2d& pool = *pool_op.pool;
-        const std::int64_t k = pool.kernel;
-        const std::int64_t poh = pool_op.out_shape.dim(1);
-        const std::int64_t pow_ = pool_op.out_shape.dim(2);
-        LayerStats pool_stats = annotated_stats(pool_op);
-        std::int64_t* out = arena.alloc<std::int64_t>(cout * poh * pow_);
-        if (op.fast_layout == DataLayout::kHwc) {
-          std::int64_t* out_hwc = arena.alloc<std::int64_t>(oh * ow * cout);
-          conv_hwc(conv, cur, ih, iw, oh, ow, p.weights.data(), T, K, arena,
-                   out_hwc);
-          pool_stats.input_spikes = popcount_sum(out_hwc, oh * ow * cout);
-          std::int64_t covered = 0;
-          for (std::int64_t y = 0; y < oh; ++y) {
-            const bool y_covered = y / k < poh;
-            for (std::int64_t x = 0; x < ow; ++x) {
-              if (y_covered && x / k < pow_)
-                covered += popcount_sum(out_hwc + (y * ow + x) * cout, cout);
-            }
-          }
-          pool_stats.adder_ops = covered;
-          std::int64_t* pacc = arena.alloc<std::int64_t>(cout);
-          for (std::int64_t py = 0; py < poh; ++py) {
-            for (std::int64_t px = 0; px < pow_; ++px) {
-              std::fill(pacc, pacc + cout, std::int64_t{0});
-              for (std::int64_t ky = 0; ky < k; ++ky) {
-                for (std::int64_t kx = 0; kx < k; ++kx) {
-                  const std::int64_t* src =
-                      out_hwc + ((py * k + ky) * ow + px * k + kx) * cout;
-                  K.add_i64(pacc, src, cout);
-                }
-              }
-              for (std::int64_t oc = 0; oc < cout; ++oc)
-                out[(oc * poh + py) * pow_ + px] = pacc[oc] >> pool.shift;
-            }
-          }
-        } else {
-          std::int64_t* plane = arena.alloc<std::int64_t>(oh * ow);
-          std::int64_t conv_spikes = 0, covered = 0;
-          for (std::int64_t oc = 0; oc < cout; ++oc) {
-            conv_channel_chw(conv, cur, ih, iw, oh, ow, oc, K, plane);
-            finish_channel(conv, oc, T, plane, oh * ow);
-            conv_spikes += popcount_sum(plane, oh * ow);
-            covered += pool_covered_spikes(plane, 1, oh, ow, k, poh, pow_);
-            pool_plane(plane, ow, k, pool.shift, poh, pow_,
-                       out + oc * poh * pow_);
-          }
-          pool_stats.input_spikes = conv_spikes;
-          pool_stats.adder_ops = covered;
-        }
-        accumulate_layer(result, std::move(stats));
-        accumulate_layer(result, std::move(pool_stats));
-        cur = out;
-        consumed = 2;
-        break;
-      }
-      case ir::OpKind::kPool: {
-        const QPool2d& pool = *op.pool;
-        const std::int64_t ch = op.in_shape.dim(0);
-        const std::int64_t ih = op.in_shape.dim(1), iw = op.in_shape.dim(2);
-        const std::int64_t oh = op.out_shape.dim(1), ow = op.out_shape.dim(2);
-        stats.adder_ops =
-            pool_covered_spikes(cur, ch, ih, iw, pool.kernel, oh, ow);
-        std::int64_t* out = arena.alloc<std::int64_t>(ch * oh * ow);
-        for (std::int64_t c = 0; c < ch; ++c)
-          pool_plane(cur + c * ih * iw, iw, pool.kernel, pool.shift, oh, ow,
-                     out + c * oh * ow);
-        accumulate_layer(result, std::move(stats));
-        cur = out;
-        break;
-      }
-      case ir::OpKind::kLinear: {
-        const QLinear& fc = *op.linear;
-        stats.adder_ops = stats.input_spikes * fc.out_features;
-        std::int64_t* out = arena.alloc<std::int64_t>(fc.out_features);
-        linear_fast(fc, cur, p.weights.data(), T, K, out);
-        accumulate_layer(result, std::move(stats));
-        cur = out;
-        break;
-      }
-    }
-
-    li += consumed;
-    const ir::LayerOp& last_op = program.op(li - 1);
-    const std::int64_t out_numel = last_op.out_shape.numel();
-    if (static_cast<std::size_t>(last_op.layer_index) + 1 == n_layers) {
-      result.logits.assign(cur, cur + out_numel);
-    } else if (li == end && boundary_codes) {
-      TensorI boundary(last_op.out_shape);
-      std::int32_t* bp = boundary.data();
-      for (std::int64_t i = 0; i < out_numel; ++i)
-        bp[i] = static_cast<std::int32_t>(cur[i]);
-      *boundary_codes = std::move(boundary);
-    }
-  }
-
-  finalize_run(result, program.config().cycle_ns());
-}
-
-// --- Batched slice execution ------------------------------------------------
+// --- Slice execution ---------------------------------------------------------
 //
 // A "slice" is a contiguous sub-range of the batch with its own arena,
 // image-minor interleaved activation buffer and per-image counter scratch.
-// The sequential batched kernel runs ONE slice covering the whole batch; the
-// parallel kernel seats one slice per task-pool slot and fork/joins every
-// step. Both therefore execute the same per-slice code on the same prepared
-// pack — the parallel path's per-image bit-identity is structural, not
-// re-proven arithmetic.
+// run_fast_path() runs ONE slice covering the whole batch (a single image is
+// a slice of one); the parallel driver seats one slice per task-pool slot
+// and fork/joins every step. Both therefore execute the same per-slice code
+// on the same prepared pack — the parallel path's per-image bit-identity is
+// structural, not re-proven arithmetic.
 namespace {
 
 struct BatchSlice {
@@ -993,7 +679,6 @@ void run_slice_op(const ir::LayerProgram& program, const FastPrepared& prep,
         }
       } else {
         std::int64_t* plane = arena.alloc<std::int64_t>(oh * ow * B);
-        std::int64_t* pacc = arena.alloc<std::int64_t>(B);
         std::fill(pool_spikes, pool_spikes + B, std::int64_t{0});
         std::fill(pool_covered, pool_covered + B, std::int64_t{0});
         for (std::int64_t oc = 0; oc < cout; ++oc) {
@@ -1012,7 +697,7 @@ void run_slice_op(const ir::LayerProgram& program, const FastPrepared& prep,
               }
             }
           }
-          pool_plane_batched(plane, ow, k, pool.shift, poh, pow_, B, K, pacc,
+          pool_plane_batched(plane, ow, k, pool.shift, poh, pow_, B,
                              out + oc * poh * pow_ * B);
         }
       }
@@ -1036,10 +721,9 @@ void run_slice_op(const ir::LayerProgram& program, const FastPrepared& prep,
       const std::int64_t oh = op.out_shape.dim(1), ow = op.out_shape.dim(2);
       pool_covered_per_image(cur, ch, ih, iw, pool.kernel, oh, ow, B, adder);
       std::int64_t* out = arena.alloc<std::int64_t>(ch * oh * ow * B);
-      std::int64_t* pacc = arena.alloc<std::int64_t>(B);
       for (std::int64_t c = 0; c < ch; ++c)
         pool_plane_batched(cur + c * ih * iw * B, iw, pool.kernel, pool.shift,
-                           oh, ow, B, K, pacc, out + c * oh * ow * B);
+                           oh, ow, B, out + c * oh * ow * B);
       for (std::int64_t b = 0; b < B; ++b) {
         LayerStats stats = annotated_stats(op);
         stats.input_spikes = spikes[b];
@@ -1088,12 +772,11 @@ void run_slice_op(const ir::LayerProgram& program, const FastPrepared& prep,
 
 }  // namespace
 
-void run_fast_path_batched(const ir::LayerProgram& program,
-                           const FastPrepared& prep, common::Arena& arena,
-                           const TensorI* codes, std::size_t batch,
-                           std::size_t begin, std::size_t end,
-                           TensorI* boundary_codes, AccelRunResult* results) {
-  RSNN_REQUIRE(batch >= 1, "batched run needs at least one image");
+void run_fast_path(const ir::LayerProgram& program, const FastPrepared& prep,
+                   common::Arena& arena, const TensorI* codes,
+                   std::size_t batch, std::size_t begin, std::size_t end,
+                   TensorI* boundary_codes, AccelRunResult* results) {
+  RSNN_REQUIRE(batch >= 1, "a fast-path run needs at least one image");
   const Kernels& K = common::simd::kernels();
   const int T = program.time_bits();
   const std::size_t n_layers = program.network().layers.size();
@@ -1112,15 +795,13 @@ void run_fast_path_batched(const ir::LayerProgram& program,
   for (std::size_t b = 0; b < batch; ++b) finalize_run(results[b], cycle_ns);
 }
 
-void run_fast_path_batched_parallel(const ir::LayerProgram& program,
-                                    const FastPrepared& prep,
-                                    common::TaskPool& pool,
-                                    const TensorI* codes, std::size_t batch,
-                                    std::size_t begin, std::size_t end,
-                                    TensorI* boundary_codes,
-                                    AccelRunResult* results,
-                                    std::size_t threads) {
-  RSNN_REQUIRE(batch >= 1, "batched run needs at least one image");
+void run_fast_path_parallel(const ir::LayerProgram& program,
+                            const FastPrepared& prep, common::TaskPool& pool,
+                            const TensorI* codes, std::size_t batch,
+                            std::size_t begin, std::size_t end,
+                            TensorI* boundary_codes, AccelRunResult* results,
+                            std::size_t threads) {
+  RSNN_REQUIRE(batch >= 1, "a fast-path run needs at least one image");
   // One slice per requested thread — never more slices than images or pool
   // slots. The fixed cap keeps the slice table on the stack (no per-call
   // allocation); past ~64 cores the batch, not the core count, is the limit.
@@ -1132,8 +813,8 @@ void run_fast_path_batched_parallel(const ir::LayerProgram& program,
   // per-op rounds, so the pool is held for the whole run, not per fork.
   auto session = pool.acquire();
   if (n_slices <= 1) {
-    run_fast_path_batched(program, prep, pool.arena(0), codes, batch, begin,
-                          end, boundary_codes, results);
+    run_fast_path(program, prep, pool.arena(0), codes, batch, begin, end,
+                  boundary_codes, results);
     return;
   }
 

@@ -21,6 +21,11 @@
 // SimMode::kStepped for every layout/fusion plan, which
 // tests/test_fastpath.cpp sweeps exhaustively.
 //
+// There is one driver, run_fast_path(): it executes a batch of B images
+// through one traversal of the prepared weights, and a single image is a
+// batch of one. The HWC conv kernel, where a runtime batch loop costs
+// measurably at B = 1, is compiled for B = 1 as well as for a runtime B.
+//
 // Memory model: all intermediate activation buffers are bump-allocated from
 // a per-worker common::Arena that is rewound per inference — a warm worker
 // performs zero heap allocation (tested). Weight repacks and coverage tables
@@ -79,51 +84,40 @@ std::shared_ptr<const FastPrepared> shared_fast_prepared(
 /// replica-sharing guarantee ("N replicas, one build") by accounting.
 std::uint64_t fast_prepared_build_count();
 
-/// Execute ops [begin, end) of `program` on the fast path, appending per-op
-/// stats to `result` (which the caller has reset). Fills `result.logits`
-/// when the range contains the network's final layer; writes the activation
-/// codes crossing the downstream cut to `boundary_codes` (if non-null) when
-/// it does not. Scratch comes from `arena` (rewound here, per inference).
-void run_fast_path(const ir::LayerProgram& program, const FastPrepared& prep,
-                   common::Arena& arena, const TensorI& codes,
-                   std::size_t begin, std::size_t end, TensorI* boundary_codes,
-                   AccelRunResult& result);
-
-/// Batched variant: execute ops [begin, end) for `batch` images in one
-/// prepared-weight traversal — every weight tile is loaded once and applied
-/// to all images before moving on, amortizing the memory traffic that
-/// dominates per-image runs. Activations travel interleaved image-minor
-/// (`buf[idx * batch + b]`) so the batched kernels stay dense.
+/// Execute ops [begin, end) of `program` on the fast path for `batch` images
+/// in one prepared-weight traversal: every weight tile is loaded once and
+/// applied to all images before moving on. A single image is a batch of
+/// one; there is no separate single-image driver. Activations travel
+/// interleaved image-minor (`buf[idx * batch + b]`) so the kernels stay
+/// dense.
 ///
 /// `codes` points at `batch` equally-shaped tensors; `results` at `batch`
-/// caller-reset results, filled exactly as `batch` independent
-/// run_fast_path() calls would fill them (bit-identical logits and
-/// counters — the batch only reorders independent integer updates). When
-/// the range stops short of the final layer and `boundary_codes` is
-/// non-null it must also point at `batch` tensors.
-void run_fast_path_batched(const ir::LayerProgram& program,
-                           const FastPrepared& prep, common::Arena& arena,
-                           const TensorI* codes, std::size_t batch,
-                           std::size_t begin, std::size_t end,
-                           TensorI* boundary_codes, AccelRunResult* results);
+/// caller-reset results, each receiving that image's per-op stats exactly
+/// as a batch of one would (bit-identical logits and counters: the batch
+/// only reorders independent integer updates). `results[b].logits` is
+/// filled when the range contains the network's final layer; otherwise the
+/// activation codes crossing the downstream cut go to `boundary_codes[b]`
+/// when `boundary_codes` is non-null. Scratch comes from `arena` (rewound
+/// here, per call), so a warm arena makes the call allocation-free.
+void run_fast_path(const ir::LayerProgram& program, const FastPrepared& prep,
+                   common::Arena& arena, const TensorI* codes,
+                   std::size_t batch, std::size_t begin, std::size_t end,
+                   TensorI* boundary_codes, AccelRunResult* results);
 
-/// Multi-core batched variant: the batch splits into at most `threads`
-/// contiguous image slices and every op is executed fork/join on `pool` —
-/// all slices traverse the same prepared weight pack concurrently, so the
-/// taps a slice loads into the shared cache are the taps every other slice
-/// needs next. Each slice is the sequential batched kernel over its
-/// sub-range (same code path, its own slot arena), so per-image logits and
-/// accounting are bit-identical to run_fast_path_batched() by construction,
-/// and warm runs allocate nothing. Degrades to the sequential kernel on
-/// pool.arena(0) when fewer than two slices make sense. Acquires the pool
-/// for the whole run; concurrent callers serialize.
-void run_fast_path_batched_parallel(const ir::LayerProgram& program,
-                                    const FastPrepared& prep,
-                                    common::TaskPool& pool,
-                                    const TensorI* codes, std::size_t batch,
-                                    std::size_t begin, std::size_t end,
-                                    TensorI* boundary_codes,
-                                    AccelRunResult* results,
-                                    std::size_t threads);
+/// Multi-core variant: the batch splits into at most `threads` contiguous
+/// image slices and every op is executed fork/join on `pool` — all slices
+/// traverse the same prepared weight pack concurrently, so the taps a slice
+/// loads into the shared cache are the taps every other slice needs next.
+/// Each slice is run_fast_path()'s per-slice code over its sub-range (its
+/// own slot arena), so per-image logits and accounting are bit-identical to
+/// run_fast_path() by construction, and warm runs allocate nothing. Degrades
+/// to run_fast_path() on pool.arena(0) when fewer than two slices make
+/// sense. Acquires the pool for the whole run; concurrent callers serialize.
+void run_fast_path_parallel(const ir::LayerProgram& program,
+                            const FastPrepared& prep, common::TaskPool& pool,
+                            const TensorI* codes, std::size_t batch,
+                            std::size_t begin, std::size_t end,
+                            TensorI* boundary_codes, AccelRunResult* results,
+                            std::size_t threads);
 
 }  // namespace rsnn::hw

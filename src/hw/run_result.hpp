@@ -1,4 +1,4 @@
-// Execution records shared by every simulator path (stepped, fast, analytic)
+// Execution records shared by both simulator paths (stepped, fast path)
 // and by the engines layered above them. Split out of accelerator.hpp so the
 // fast-path kernels (hw/fast_path) can produce results without pulling in the
 // unit simulators.

@@ -45,7 +45,7 @@ namespace rsnn::serve {
 struct RegistryOptions {
   /// Design derivation for every loaded model (units, clock, fast path).
   compiler::CompileOptions compile;
-  engine::EngineKind kind = engine::EngineKind::kAnalytic;
+  engine::EngineKind kind = engine::EngineKind::kCycleAccurate;
   /// Pool template applied to every model (replicas, policy, queue, fault
   /// tolerance). model_id is overwritten per slot.
   engine::ServingPoolOptions pool;

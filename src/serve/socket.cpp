@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -21,6 +22,9 @@ constexpr int kSendFlags = MSG_NOSIGNAL;
 #else
 constexpr int kSendFlags = 0;
 #endif
+
+/// First payload read step; later steps match the bytes already received.
+constexpr std::size_t kMinPayloadStep = std::size_t{64} << 10;
 
 }  // namespace
 
@@ -98,10 +102,18 @@ std::string Socket::recv_frame(FrameType* type,
   error = decode_header(header_bytes, &header);
   if (!error.empty()) return error;
   *type = header.type;
-  payload->assign(header.payload_len, 0);
-  if (header.payload_len > 0) {
-    error = read_exact(payload->data(), payload->size());
+  // The buffer grows with the bytes that actually arrive, at most doubling
+  // per step, so a header alone cannot make the receiver hold its claimed
+  // length.
+  payload->clear();
+  std::size_t got = 0;
+  while (got < header.payload_len) {
+    const std::size_t step = std::min<std::size_t>(
+        header.payload_len - got, std::max(kMinPayloadStep, got));
+    payload->resize(got + step);
+    error = read_exact(payload->data() + got, step);
     if (!error.empty()) return "truncated payload: " + error;
+    got += step;
   }
   return {};
 }

@@ -45,7 +45,9 @@ class Socket {
                          const std::vector<std::uint8_t>& payload);
 
   /// Receive one frame: validates the header (magic, version, payload cap)
-  /// and reads the payload. `*clean_eof` as in read_exact.
+  /// and reads the payload in steps that grow with the bytes received, so
+  /// the buffer never runs far ahead of what the peer actually sent.
+  /// `*clean_eof` as in read_exact.
   std::string recv_frame(FrameType* type, std::vector<std::uint8_t>* payload,
                          bool* clean_eof = nullptr);
 

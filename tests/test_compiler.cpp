@@ -55,7 +55,7 @@ TEST(Compiler, PredictedLatencyMatchesAccelerator) {
   EXPECT_EQ(design.predicted_total_cycles, accel.predict_total_cycles());
 }
 
-TEST(Compiler, PredictedCyclesPinnedToCycleAccurateLeNet) {
+TEST(Compiler, PredictedCyclesPinnedToSteppedLeNet) {
   // Invariant 4 regression (latency-prediction drift guard): the schedule's
   // per-op predicted cycles must sum to exactly what the bit-true simulator
   // counts stepping LeNet-5, for several design points.
@@ -75,7 +75,7 @@ TEST(Compiler, PredictedCyclesPinnedToCycleAccurateLeNet) {
 
     hw::Accelerator accel(design.program);
     EXPECT_EQ(per_op_sum, accel.predict_total_cycles()) << units << " units";
-    const auto run = accel.run_image(image, hw::SimMode::kCycleAccurate);
+    const auto run = accel.run_image(image, hw::SimMode::kStepped);
     EXPECT_EQ(run.total_cycles, per_op_sum) << units << " units";
   }
 }

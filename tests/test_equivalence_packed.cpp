@@ -169,50 +169,12 @@ TEST_P(EngineEquivalence, LeNetBitIdenticalToCycleAccurate) {
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, EngineEquivalence,
-    ::testing::Values(engine::EngineKind::kCycleAccurate,
-                      engine::EngineKind::kStepped,
-                      engine::EngineKind::kAnalytic,
-                      engine::EngineKind::kBehavioral,
-                      engine::EngineKind::kReference),
+    ::testing::ValuesIn(engine::all_engines()),
     [](const ::testing::TestParamInfo<engine::EngineKind>& info) {
       return std::string(engine::engine_name(info.param));
     });
 
 // ------------------------------------------------------ batch and streaming
-
-TEST(PackedEquivalence, BatchMatchesSequentialRuns) {
-  Rng rng(7);
-  nn::Network net = rsnn::testing::small_random_net(rng);
-  const quant::QuantizedNetwork qnet =
-      quant::quantize(net, quant::QuantizeConfig{3, 4});
-  AcceleratorConfig cfg;
-  cfg.num_conv_units = 2;
-  cfg.conv = ConvUnitGeometry{12, 5, 24};
-  cfg.pool = PoolUnitGeometry{8, 2, 16};
-  cfg.linear = LinearUnitGeometry{4, 24};
-  Accelerator accel(cfg, qnet);
-
-  std::vector<TensorF> images;
-  for (int i = 0; i < 6; ++i)
-    images.push_back(rsnn::testing::random_image(Shape{1, 10, 10}, rng));
-
-  const auto batch = accel.run_batch(images, SimMode::kCycleAccurate,
-                                     /*num_threads=*/3);
-  ASSERT_EQ(batch.size(), images.size());
-  for (std::size_t i = 0; i < images.size(); ++i) {
-    const AccelRunResult ref = accel.run_image(images[i]);
-    EXPECT_EQ(batch[i].logits, ref.logits) << "image " << i;
-    EXPECT_EQ(batch[i].total_cycles, ref.total_cycles);
-    EXPECT_EQ(batch[i].total_adder_ops, ref.total_adder_ops);
-    EXPECT_EQ(batch[i].traffic_total.act_read_bits,
-              ref.traffic_total.act_read_bits);
-  }
-
-  // Single-threaded and analytic-mode batches take the same paths.
-  const auto serial = accel.run_batch(images, SimMode::kCycleAccurate, 1);
-  for (std::size_t i = 0; i < images.size(); ++i)
-    EXPECT_EQ(serial[i].logits, batch[i].logits);
-}
 
 TEST(PackedEquivalence, StreamingMatchesSequentialRuns) {
   // The persistent worker pool (pre-allocated per-worker state, reused
@@ -294,6 +256,10 @@ TEST(EngineParsing, RoundTripsCanonicalNamesAndShorthand) {
     EXPECT_EQ(engine::parse_engine(engine::engine_name(kind)), kind);
   EXPECT_EQ(engine::parse_engine("cycle"),
             engine::EngineKind::kCycleAccurate);
+  // The fast path's former engine name keeps old command lines working.
+  EXPECT_EQ(engine::parse_engine("analytic"),
+            engine::EngineKind::kCycleAccurate);
+  EXPECT_EQ(engine::all_engines().size(), 4u);
 }
 
 TEST(EngineParsing, RejectsUnknownNames) {

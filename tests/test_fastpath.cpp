@@ -161,23 +161,6 @@ TEST(FastPath, LeNetAllPlanVariantsBitIdenticalToStepped) {
   }
 }
 
-TEST(FastPath, DisabledFallsBackToStepped) {
-  Rng rng(712);
-  nn::Network net = rsnn::testing::small_random_net(rng);
-  const quant::QuantizedNetwork qnet =
-      quant::quantize(net, quant::QuantizeConfig{3, 4});
-  AcceleratorConfig cfg;
-  cfg.conv = ConvUnitGeometry{16, 3, 24};
-  cfg.pool = PoolUnitGeometry{8, 2, 16};
-  cfg.linear = LinearUnitGeometry{8, 24};
-  cfg.fast_path.enable = false;
-  const Accelerator accel(cfg, qnet);
-  const TensorI codes = quant::encode_activations(
-      random_image(qnet.input_shape, rng), qnet.time_bits);
-  expect_bit_identical(accel.run_codes(codes, SimMode::kCycleAccurate),
-                       accel.run_codes(codes, SimMode::kStepped));
-}
-
 // --------------------------------- geometry sweep: stride, padding, tiling
 
 TEST(FastPath, StridePaddingTilingGeometriesMatchStepped) {
@@ -519,17 +502,6 @@ TEST(FastPathBatched, LeNetAllPlanVariantsMatchSequential) {
   }
 }
 
-TEST(FastPathBatched, LeNetAnalyticModeMatchesSequential) {
-  Rng rng(813);
-  nn::Network lenet = nn::make_lenet5();
-  lenet.init_params(rng);
-  const quant::QuantizedNetwork qnet =
-      quant::quantize(lenet, quant::QuantizeConfig{3, 4});
-  const std::vector<TensorI> codes = random_code_batch(qnet, 3, rng);
-  const Accelerator accel(lenet_reference_config(), qnet);
-  expect_batched_matches_sequential(accel, codes, {1, 3}, SimMode::kAnalytic);
-}
-
 TEST(FastPathBatched, Vgg11MatchesSequential) {
   Rng rng(814);
   nn::Network vgg = nn::make_vgg11();
@@ -826,7 +798,6 @@ TEST(FastPathShared, ServingReplicasReuseTheSharedPack) {
 
   engine::ServingPoolOptions opts;
   opts.replicas = 2;
-  opts.workers_per_replica = 1;
   {
     engine::ServingPool pool(program, engine::EngineKind::kCycleAccurate,
                              opts);
@@ -880,6 +851,9 @@ TEST(Stream, ChunkOptionKeepsResultsIdenticalAndValidates) {
 }
 
 // ------------------------------------------------------- mode plumbing
+
+static_assert(SimMode::kAnalytic == SimMode::kCycleAccurate,
+              "kAnalytic is an alias of the fast-path mode");
 
 TEST(FastPath, SteppedEngineIsRegisteredEverywhere) {
   EXPECT_EQ(engine::parse_engine("stepped"), engine::EngineKind::kStepped);

@@ -257,24 +257,26 @@ TEST(Accelerator, LatencyScalesWithTimeSteps) {
   EXPECT_LT(ratio, 2.2);
 }
 
-// --------------------- invariant 4: analytic model == cycle-accurate count
+// --------------------- invariant 4: analytic model == stepped cycle count
 
 class CycleModelSweep : public ::testing::TestWithParam<int> {};
 
-TEST_P(CycleModelSweep, AnalyticEqualsCycleAccurate) {
+TEST_P(CycleModelSweep, SteppedMatchesModelAndFastPath) {
   Rng rng(81 + GetParam());
   nn::Network net = small_random_net(rng);
   const quant::QuantizedNetwork qnet = quantize(net, quant::QuantizeConfig{3, 4});
   Accelerator accel(small_config(GetParam()), qnet);
 
   const TensorF image = random_image(Shape{1, 10, 10}, rng);
-  const AccelRunResult run = accel.run_image(image, SimMode::kCycleAccurate);
-  EXPECT_EQ(run.total_cycles, accel.predict_total_cycles());
+  const AccelRunResult stepped = accel.run_image(image, SimMode::kStepped);
+  EXPECT_EQ(stepped.total_cycles, accel.predict_total_cycles());
 
-  // The analytic mode must agree on both cycles and logits.
-  const AccelRunResult analytic = accel.run_image(image, SimMode::kAnalytic);
-  EXPECT_EQ(analytic.total_cycles, run.total_cycles);
-  EXPECT_EQ(analytic.logits, run.logits);
+  // The fast path copies its cycles from those annotations; it must agree
+  // with the stepped dataflow on logits, cycles and adder ops.
+  const AccelRunResult fast = accel.run_image(image, SimMode::kCycleAccurate);
+  EXPECT_EQ(fast.logits, stepped.logits);
+  EXPECT_EQ(fast.total_cycles, stepped.total_cycles);
+  EXPECT_EQ(fast.total_adder_ops, stepped.total_adder_ops);
 }
 
 INSTANTIATE_TEST_SUITE_P(Units, CycleModelSweep, ::testing::Values(1, 2, 3, 4, 8));
@@ -290,7 +292,7 @@ TEST(CycleModel, SweepAcrossGeometries) {
         quantize(net, quant::QuantizeConfig{3, sc.time_bits});
     Accelerator accel(small_config(2), qnet);
     const TensorF image = random_image(Shape{sc.cin, sc.size, sc.size}, rng);
-    const AccelRunResult run = accel.run_image(image, SimMode::kCycleAccurate);
+    const AccelRunResult run = accel.run_image(image, SimMode::kStepped);
     EXPECT_EQ(run.total_cycles, accel.predict_total_cycles())
         << "k=" << sc.kernel << " s=" << sc.stride << " p=" << sc.padding;
   }

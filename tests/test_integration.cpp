@@ -121,8 +121,8 @@ TEST(Integration, AcceleratorAccuracyEqualsQuantizedAccuracy) {
   const std::size_t n = 40;
   for (std::size_t i = 0; i < n; ++i) {
     const TensorI codes = quant::encode_activations(f.test.images[i], 4);
-    // Analytic mode is cheap and bit-identical by invariants 1/2/4.
-    if (accel.run_codes(codes, hw::SimMode::kAnalytic).predicted_class ==
+    // The fast path is cheap and bit-identical by invariants 1/2/4.
+    if (accel.run_codes(codes, hw::SimMode::kCycleAccurate).predicted_class ==
         f.test.labels[i])
       ++hw_correct;
     if (qnet.classify(codes) == f.test.labels[i]) ++q_correct;

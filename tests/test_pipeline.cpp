@@ -254,8 +254,8 @@ TEST_P(PipelineEquivalence, LeNetSegmentedMatchesMonolithic) {
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, PipelineEquivalence,
-    ::testing::Values(EngineKind::kCycleAccurate, EngineKind::kAnalytic,
-                      EngineKind::kBehavioral, EngineKind::kReference),
+    ::testing::Values(EngineKind::kCycleAccurate, EngineKind::kBehavioral,
+                      EngineKind::kReference),
     [](const ::testing::TestParamInfo<EngineKind>& info) {
       return std::string(engine_name(info.param));
     });
@@ -283,14 +283,14 @@ TEST(Pipeline, SegmentEnginesComposeManually) {
   // feed stage s+1; merged stats equal the monolithic run.
   const LeNetFixture fx;
   const auto batch = lenet_batch(1, fx.qnet.time_bits);
-  const auto monolithic = make_engine(EngineKind::kAnalytic, fx.program);
+  const auto monolithic = make_engine(EngineKind::kCycleAccurate, fx.program);
   const hw::AccelRunResult ref = monolithic->run_codes(batch[0]);
 
   const auto segments = compiler::partition_balance_latency(fx.program, 3);
   hw::AccelRunResult merged;
   TensorI codes = batch[0];
   for (const auto& seg : segments) {
-    auto engine = make_engine(EngineKind::kAnalytic, fx.program, seg);
+    auto engine = make_engine(EngineKind::kCycleAccurate, fx.program, seg);
     EXPECT_EQ(engine->segment().begin, seg.begin);
     SegmentRunResult stage = engine->run_segment(codes);
     hw::merge_segment_result(merged, std::move(stage.stats));
@@ -303,7 +303,7 @@ TEST(Pipeline, SegmentEnginesComposeManually) {
   expect_identical(merged, ref, "manual composition");
 
   // Stage engines refuse the whole-program entry point.
-  auto stage = make_engine(EngineKind::kAnalytic, fx.program, segments[1]);
+  auto stage = make_engine(EngineKind::kCycleAccurate, fx.program, segments[1]);
   EXPECT_THROW(stage->run_codes(batch[0]), ContractViolation);
 }
 
@@ -361,7 +361,7 @@ TEST(Pipeline, SegmentResourceReportsSumToMonolithic) {
 TEST(Pipeline, SegmentPowerReportsSumToMonolithic) {
   const LeNetFixture fx;
   const auto batch = lenet_batch(1, fx.qnet.time_bits);
-  const auto engine = make_engine(EngineKind::kAnalytic, fx.program);
+  const auto engine = make_engine(EngineKind::kCycleAccurate, fx.program);
   const hw::AccelRunResult run = engine->run_codes(batch[0]);
 
   const hw::ResourceEstimate resources = hw::estimate_resources(fx.program);

@@ -95,8 +95,9 @@ TEST_P(ArchitectureSweep, AllInvariantsHold) {
     const auto run = accel.run_codes(codes, hw::SimMode::kCycleAccurate);
     EXPECT_EQ(run.logits, reference);
 
-    // (4) analytic model cycle-exact.
-    EXPECT_EQ(run.total_cycles, accel.predict_total_cycles());
+    // (4) analytic model cycle-exact against the stepped dataflow.
+    const auto stepped = accel.run_codes(codes, hw::SimMode::kStepped);
+    EXPECT_EQ(stepped.total_cycles, accel.predict_total_cycles());
   }
 
   // (3) unit-count invariance.

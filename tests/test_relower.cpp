@@ -212,16 +212,16 @@ TEST_P(RelowerEquivalence, LogitsBitIdenticalWhileStageCyclesImprove) {
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, RelowerEquivalence,
-    ::testing::Values(EngineKind::kCycleAccurate, EngineKind::kAnalytic,
-                      EngineKind::kBehavioral, EngineKind::kReference),
+    ::testing::Values(EngineKind::kCycleAccurate, EngineKind::kBehavioral,
+                      EngineKind::kReference),
     [](const ::testing::TestParamInfo<EngineKind>& info) {
       return std::string(engine_name(info.param));
     });
 
 TEST(RelowerEquivalence, AllEnginesAgreeOnRelowereredStageCycles) {
   // The four engines must agree with each other in re-lowered mode too:
-  // the cycle-accurate simulator stepping the per-device placement has to
-  // reproduce the re-lowered analytic totals (invariant 4, per device).
+  // the stepped engine on the per-device placement has to reproduce the
+  // re-lowered latency annotations (invariant 4, per device).
   const TightLeNetFixture fx;
   const auto batch = lenet_batch(1, fx.qnet.time_bits);
   const auto segments =
@@ -316,10 +316,10 @@ TEST(RelowerVgg11, StagePromotedFromDramWithLowerCycles) {
   EXPECT_EQ(slow.stats.total_cycles, inherited[p].predicted_cycles);
 
   // End to end: the re-lowered pipeline still produces the monolithic
-  // logits (analytic engine at VGG scale).
-  const auto monolithic = make_engine(EngineKind::kAnalytic, program);
+  // logits (fast path at VGG scale).
+  const auto monolithic = make_engine(EngineKind::kCycleAccurate, program);
   const hw::AccelRunResult ref = monolithic->run_codes(input);
-  PipelineExecutor pipe(program, relowered, EngineKind::kAnalytic);
+  PipelineExecutor pipe(program, relowered, EngineKind::kCycleAccurate);
   const auto results = pipe.run_pipeline({input});
   EXPECT_EQ(results[0].logits, ref.logits);
   EXPECT_LT(results[0].total_cycles, ref.total_cycles);

@@ -567,6 +567,31 @@ TEST(ServeEndToEnd, FullSessionAgainstLiveServer) {
   EXPECT_GE(live.server.connections_accepted(), 1);
 }
 
+TEST(Socket, ClaimedPayloadLengthDoesNotPinMemory) {
+  // A peer that sends a header claiming the largest legal payload, then
+  // only 1 KiB and a close, must not make the receiver allocate the claim.
+  Listener listener;
+  ASSERT_TRUE(listener.listen_loopback(0).empty());
+  std::string error;
+  Socket peer = Socket::connect_loopback(listener.port(), &error);
+  ASSERT_TRUE(error.empty()) << error;
+  Socket receiver = listener.accept_connection(&error);
+  ASSERT_TRUE(error.empty()) << error;
+
+  std::uint8_t header[kHeaderBytes];
+  encode_header(FrameType::kInfer, kMaxPayloadBytes, header);
+  ASSERT_TRUE(peer.write_all(header, kHeaderBytes).empty());
+  const std::vector<std::uint8_t> sent(1024, 0xAB);
+  ASSERT_TRUE(peer.write_all(sent.data(), sent.size()).empty());
+  peer.close();
+
+  FrameType type = FrameType::kHealth;
+  std::vector<std::uint8_t> payload;
+  const std::string recv_error = receiver.recv_frame(&type, &payload);
+  EXPECT_EQ(recv_error.rfind("truncated payload: ", 0), 0u) << recv_error;
+  EXPECT_LT(payload.capacity(), std::size_t{1} << 20);
+}
+
 TEST(ServeEndToEnd, MalformedFramesAnswerOneErrorAndClose) {
   LiveServer live;
   ASSERT_TRUE(live.registry.load_network("a", make_qnet(11)).empty());

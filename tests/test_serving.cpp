@@ -195,14 +195,14 @@ TEST(ServingPool, RelowereedPipelineReplicasKeepLogits) {
   const LeNetFixture fx;
   const auto batch = lenet_batch(2, fx.qnet.time_bits);
   const auto reference =
-      monolithic_reference(fx.program, EngineKind::kAnalytic, batch);
+      monolithic_reference(fx.program, EngineKind::kCycleAccurate, batch);
 
   ServingPoolOptions options;
   options.replicas = 2;
   options.segments = compiler::partition_balance_latency(
       fx.program, 2, compiler::PartitionOptions{});
   ASSERT_TRUE(options.segments.front().is_relowered());
-  ServingPool pool(fx.program, EngineKind::kAnalytic, options);
+  ServingPool pool(fx.program, EngineKind::kCycleAccurate, options);
 
   const auto run = pool.run_batch(batch);
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -469,12 +469,6 @@ TEST(ServingPool, InvalidOptionsThrow) {
   }
   {
     ServingPoolOptions options;
-    options.workers_per_replica = 0;
-    EXPECT_THROW(ServingPool(fx.program, EngineKind::kReference, options),
-                 ContractViolation);
-  }
-  {
-    ServingPoolOptions options;
     options.policy = AdmissionPolicy::kBatch;
     options.max_batch = 0;
     EXPECT_THROW(ServingPool(fx.program, EngineKind::kReference, options),
@@ -558,13 +552,13 @@ TEST(PlanServing, PlannedConfigurationServesBitIdentically) {
   const LeNetFixture fx;
   const auto batch = lenet_batch(3, fx.qnet.time_bits);
   const auto reference =
-      monolithic_reference(fx.program, EngineKind::kAnalytic, batch);
+      monolithic_reference(fx.program, EngineKind::kCycleAccurate, batch);
 
   const auto plan = compiler::plan_serving(fx.program, 4);
   ServingPoolOptions options;
   options.replicas = plan.replicas;
   if (plan.stages > 1) options.segments = plan.segments;
-  ServingPool pool(fx.program, EngineKind::kAnalytic, options);
+  ServingPool pool(fx.program, EngineKind::kCycleAccurate, options);
   const auto run = pool.run_batch(batch);
   EXPECT_EQ(run.ok_count(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i)

@@ -5,7 +5,9 @@
 #                           targets always link the checked library twin).
 #   2. Release + RSNN_CHECKED=ON — RSNN_DCHECK active in *every* target, so
 #                           the full suite runs bounds-checked end to end.
-# plus a forced-scalar rerun of the SIMD-sensitive suites
+# plus the invariant-4 gate (bench/ablation_cycle_model: stepped cycles equal
+# the latency annotations over 24 randomized geometries), a forced-scalar
+# rerun of the SIMD-sensitive suites
 # (RSNN_FORCE_SCALAR=1 pins the vector kernels' scalar fallback to the same
 # bit-identical results), an RTL-emission smoke, a sanitizer (ASan+UBSan)
 # pass over the threaded executor tests, and a ThreadSanitizer pass over the
@@ -80,6 +82,13 @@ run_config() {
 
 run_config "Release" build-check-release -DCMAKE_BUILD_TYPE=Release
 
+# 1a. Invariant 4: the analytic latency model against stepped cycle counts.
+echo "==== [Release] invariant-4 gate (ablation_cycle_model) ===="
+if ! ./build-check-release/ablation_cycle_model > /dev/null; then
+  echo "==== [Release] FAILED: ablation_cycle_model found a cycle mismatch ===="
+  exit 1
+fi
+
 # 1b. Forced-scalar dispatch: rerun the SIMD-sensitive suites on the same
 #     Release binaries with RSNN_FORCE_SCALAR=1, so the scalar fallback of
 #     the vector kernels stays bit-identical on every machine, not just
@@ -93,8 +102,9 @@ if ! RSNN_FORCE_SCALAR=1 ctest --test-dir build-check-release \
 fi
 
 if [ "$FAST" -eq 1 ]; then
-  echo "==== fast mode: Release build + ctest + forced-scalar passed" \
-       "(skipping checked, RTL-smoke and sanitizer tiers) ===="
+  echo "==== fast mode: Release build + ctest + invariant-4 gate +" \
+       "forced-scalar passed (skipping checked, RTL-smoke and sanitizer" \
+       "tiers) ===="
   exit 0
 fi
 

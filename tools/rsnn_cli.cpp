@@ -4,7 +4,7 @@
 //   rsnn_cli convert --model lenet5 --weights lenet.rsnn --T 4 --out lenet.qsnn
 //                    [--weight-bits 3] [--per-channel 1]
 //   rsnn_cli run     --qsnn lenet.qsnn [--units 2] [--mhz 100] [--samples 200]
-//                    [--engine cycle_accurate|analytic|behavioral|reference]
+//                    [--engine cycle_accurate|stepped|behavioral|reference]
 //                    [--stream <workers>]
 //                    [--pipeline <stages> [--partition balance_latency|fit_resources]
 //                     [--relower 1]]
@@ -91,8 +91,9 @@ std::vector<FlagSpec> run_flags() {
       count_flag("units", "2", "convolution units in the derived design", 1),
       number_flag("mhz", "100", "design clock", 1e-3),
       count_flag("samples", "200", "evaluation samples", 1),
-      text_flag("engine", "analytic",
-                "cycle_accurate|stepped|analytic|behavioral|reference",
+      text_flag("engine", "cycle_accurate",
+                "cycle_accurate|stepped|behavioral|reference (analytic = "
+                "cycle_accurate)",
                 "NAME"),
       count_flag("stream", "-1",
                  "streaming-report workers (0 = one per hardware thread)",

@@ -2,7 +2,7 @@
 // protocol (src/serve/wire.hpp) on a loopback TCP port.
 //
 //   rsnn_serve [--port 7433] [--preload lenet=lenet.qsnn,vgg=vgg.qsnn]
-//              [--engine analytic] [--units 2] [--mhz 100] [--threads 1]
+//              [--engine cycle_accurate] [--units 2] [--mhz 100] [--threads 1]
 //              [...the same serving-pool flags as `rsnn_cli run --serve`...]
 //
 // Every loaded model gets its own engine::ServingPool built from the shared
@@ -44,8 +44,9 @@ std::vector<FlagSpec> daemon_flags() {
       text_flag("preload", "",
                 "models to load before accepting: id=path[,id=path...]",
                 "LIST"),
-      text_flag("engine", "analytic",
-                "cycle_accurate|stepped|analytic|behavioral|reference",
+      text_flag("engine", "cycle_accurate",
+                "cycle_accurate|stepped|behavioral|reference (analytic = "
+                "cycle_accurate)",
                 "NAME"),
       count_flag("units", "2", "convolution units in each derived design", 1),
       number_flag("mhz", "100", "design clock", 1e-3),
