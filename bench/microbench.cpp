@@ -11,7 +11,7 @@
 //     machine-readable JSON (BENCH_*.json style) so successive PRs can
 //     compare ns/inference. This mode needs only the standard library.
 //     --tiny restricts the run to the small-network entries — including
-//     small streaming and pipelined runs — plus radix encoding (seconds,
+//     a small pipelined run — plus radix encoding (seconds,
 //     not minutes — the CI bench-smoke tier). --compare reads a previous
 //     run's JSON, prints the per-entry speedup, and exits non-zero if any
 //     shared entry regressed by more than 10%.
@@ -32,7 +32,6 @@
 #include "encoding/radix.hpp"
 #include "engine/engine.hpp"
 #include "engine/pipeline.hpp"
-#include "engine/stream.hpp"
 #include "hw/accelerator.hpp"
 #include "hw/conv_unit.hpp"
 #include "nn/activation.hpp"
@@ -90,7 +89,7 @@ struct BenchResult {
   std::string name;
   double ns_per_inference = 0.0;
   int samples = 0;
-  double images_per_sec = 0.0;  ///< emitted when > 0 (streaming entries)
+  double images_per_sec = 0.0;  ///< emitted when > 0 (throughput entries)
 };
 
 // ------------------------------------------------------- host metadata
@@ -412,24 +411,6 @@ int run_json_mode(const std::string& path, int samples, bool tiny,
            samples});
     }
 
-    // Streaming throughput: a persistent worker pool with pre-allocated
-    // per-worker state, the serving-path metric (images/sec).
-    {
-      engine::StreamingExecutor stream(
-          program, engine::EngineKind::kCycleAccurate, /*num_workers=*/0);
-      std::vector<TensorI> stream_batch(
-          static_cast<std::size_t>(std::max(8, samples)), codes);
-      stream.run_stream(stream_batch);  // warm the pool
-      stream.run_stream(stream_batch);
-      const engine::StreamStats stats = stream.last_stats();
-      BenchResult r;
-      r.name = "stream_cycle_accurate_lenet_t8";
-      r.ns_per_inference = stats.ns_per_inference;
-      r.samples = static_cast<int>(stats.images);
-      r.images_per_sec = stats.images_per_sec;
-      results.push_back(r);
-    }
-
     // Pipeline-parallel throughput: the program partitioned into 2 and 4
     // latency-balanced stages, one simulated accelerator per stage
     // (pipeline_images_per_sec in the serving-metric family).
@@ -511,9 +492,9 @@ int run_json_mode(const std::string& path, int samples, bool tiny,
     }
   }
 
-  // The small network at T=4 (historic tracking point), plus small
-  // streaming and pipelined entries so --tiny exercises every execution
-  // path CI smoke-tests: single-shot, worker pool, and pipeline stages.
+  // The small network at T=4 (historic tracking point), plus a small
+  // pipelined entry so --tiny exercises both execution paths CI
+  // smoke-tests: single-shot and pipeline stages.
   {
     const auto qnet = make_qnet(4);
     hw::AcceleratorConfig cfg;
@@ -535,21 +516,6 @@ int run_json_mode(const std::string& path, int samples, bool tiny,
          samples * 4});
 
     const ir::LayerProgram& program = accel.program();
-    {
-      engine::StreamingExecutor stream(
-          program, engine::EngineKind::kCycleAccurate, /*num_workers=*/2);
-      std::vector<TensorI> batch(
-          static_cast<std::size_t>(std::max(16, samples * 4)), codes);
-      stream.run_stream(batch);  // warm the pool
-      stream.run_stream(batch);
-      const engine::StreamStats stats = stream.last_stats();
-      BenchResult r;
-      r.name = "stream_cycle_accurate_small_t4";
-      r.ns_per_inference = stats.ns_per_inference;
-      r.samples = static_cast<int>(stats.images);
-      r.images_per_sec = stats.images_per_sec;
-      results.push_back(r);
-    }
     {
       const auto segments = compiler::partition_balance_latency(program, 2);
       engine::PipelineExecutor pipe(program, segments,
@@ -691,24 +657,6 @@ void BM_CycleAccurateLeNetT8(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CycleAccurateLeNetT8);
-
-void BM_StreamLeNetT8(benchmark::State& state) {
-  const auto qnet = make_lenet_qnet(8);
-  const ir::LayerProgram program =
-      ir::lower(qnet, hw::lenet_reference_config());
-  engine::StreamingExecutor stream(program,
-                                   engine::EngineKind::kCycleAccurate, 0);
-  Rng rng(9);
-  std::vector<TensorI> batch;
-  for (int i = 0; i < 16; ++i)
-    batch.push_back(
-        quant::encode_activations(random_image(Shape{1, 32, 32}, rng), 8));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(stream.run_stream(batch));
-  }
-  state.SetItemsProcessed(state.iterations() * 16);
-}
-BENCHMARK(BM_StreamLeNetT8);
 
 void BM_LatencyPrediction(benchmark::State& state) {
   Rng rng(6);

@@ -5,16 +5,18 @@
 //   3. Convert it to a radix-encoded SNN (3-bit weights, T-bit activations).
 //   4. Compile the SNN onto an accelerator instance (-> ir::LayerProgram).
 //   5. Run one inference on every execution engine (they must agree
-//      bit-identically), stream a batch through the persistent worker pool,
-//      and print the hardware report.
+//      bit-identically), serve the test set through a replicated serving
+//      pool, and print the hardware report.
 //
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
+#include <future>
+#include <vector>
 
 #include "compiler/compile.hpp"
 #include "data/synth_digits.hpp"
 #include "engine/engine.hpp"
-#include "engine/stream.hpp"
+#include "engine/serving_pool.hpp"
 #include "hw/accelerator.hpp"
 #include "hw/power_model.hpp"
 #include "hw/resource_model.hpp"
@@ -91,14 +93,23 @@ int main() {
   }
   std::printf("label: %d\n", parts.test.labels[0]);
 
-  // Streaming: a persistent worker pool with pre-allocated per-worker state
-  // reports serving throughput alongside the modeled hardware latency.
-  engine::StreamingExecutor stream(design.program,
-                                   engine::EngineKind::kCycleAccurate, 0);
-  stream.run_stream_images(parts.test.images);
-  std::printf("streamed %lld images -> %.1f images/sec on %d worker(s)\n",
-              static_cast<long long>(stream.last_stats().images),
-              stream.last_stats().images_per_sec, stream.last_stats().workers);
+  // Serving: two replicas — one engine and one dispatcher thread each —
+  // behind one admission queue, as the rsnn_serve daemon runs them.
+  engine::ServingPoolOptions pool_options;
+  pool_options.replicas = 2;
+  engine::ServingPool pool(design.program, engine::EngineKind::kCycleAccurate,
+                           pool_options);
+  std::vector<std::future<engine::ServingResult>> tickets;
+  for (const auto& test_image : parts.test.images) {
+    engine::Request request;
+    request.codes = quant::encode_activations(test_image, T);
+    tickets.push_back(pool.submit(std::move(request)));
+  }
+  for (auto& ticket : tickets) ticket.get();
+  const engine::ServingStats served = pool.stats();
+  std::printf("served %lld images -> %.1f images/sec on %d replica(s)\n",
+              static_cast<long long>(served.completed),
+              served.wall_images_per_sec, pool.replicas());
 
   std::printf("\nlatency: %.1f us (%lld cycles @ %.0f MHz)\n", run.latency_us,
               static_cast<long long>(run.total_cycles),

@@ -15,10 +15,9 @@
 //             strategies) stays with the code that owns the domain.
 //   kToggle — boolean written as 0/1 (also accepts true/false/on/off).
 //
-// Tables are plain std::vector<FlagSpec>, so front ends compose them:
-// rsnn_cli's `run --serve` block and the rsnn_serve daemon append the same
-// serving-pool table to their command-specific flags and therefore stay
-// option-compatible by construction.
+// Tables are plain std::vector<FlagSpec>, so front ends compose them: the
+// rsnn_serve daemon appends the shared serving-pool table to its own flags,
+// and rsnn_client's infer command the shared per-request table.
 #pragma once
 
 #include <cstdint>

@@ -350,76 +350,4 @@ double expected_attempts_per_image(std::int64_t completed,
          static_cast<double>(completed);
 }
 
-std::vector<ServingCandidate> enumerate_serving(
-    const ir::LayerProgram& program, int device_budget,
-    const PartitionOptions& options) {
-  RSNN_REQUIRE(program.has_hw_annotations() && program.whole_network(),
-               "serving planning needs a whole-network hardware-lowered "
-               "program");
-  RSNN_REQUIRE(device_budget >= 1,
-               "serving planning needs a positive device budget, got "
-                   << device_budget);
-  RSNN_REQUIRE(options.expected_attempts_per_image >= 1.0,
-               "expected_attempts_per_image must be >= 1 (every served "
-               "image costs at least one dispatch), got "
-                   << options.expected_attempts_per_image);
-  const std::size_t n = program.size();
-  const double cycle_s = program.config().cycle_ns() * 1e-9;
-
-  std::vector<ServingCandidate> candidates;
-  const int max_stages =
-      std::min(device_budget, static_cast<int>(n));
-  for (int stages = 1; stages <= max_stages; ++stages) {
-    ServingCandidate candidate;
-    candidate.stages = stages;
-    candidate.replicas = device_budget / stages;
-    candidate.segments = partition_balance_latency(program, stages, options);
-    for (const ir::ProgramSegment& segment : candidate.segments) {
-      // One stage's per-image occupancy: its (re-lowered) compute plus the
-      // serialized ingress/egress cut streams — the same cost the
-      // partitioner's DP minimized.
-      const std::int64_t stage =
-          segment.predicted_cycles +
-          cut_transfer_cycles(program, segment.begin, options) +
-          cut_transfer_cycles(program, segment.end, options);
-      candidate.bottleneck_cycles =
-          std::max(candidate.bottleneck_cycles, stage);
-    }
-    // Retry cost: a fleet measured at expected_attempts_per_image dispatch
-    // attempts per served image delivers proportionally fewer distinct
-    // images — retries and stalls occupy replicas with recomputation.
-    candidate.predicted_images_per_sec =
-        static_cast<double>(candidate.replicas) /
-        (static_cast<double>(candidate.bottleneck_cycles) * cycle_s *
-         options.expected_attempts_per_image);
-    candidates.push_back(std::move(candidate));
-  }
-  return candidates;
-}
-
-std::size_t best_serving_candidate(
-    const std::vector<ServingCandidate>& candidates) {
-  RSNN_REQUIRE(!candidates.empty(), "no serving candidates to choose from");
-  std::size_t best = 0;
-  for (std::size_t c = 1; c < candidates.size(); ++c) {
-    const ServingCandidate& challenger = candidates[c];
-    const ServingCandidate& incumbent = candidates[best];
-    if (challenger.predicted_images_per_sec >
-            incumbent.predicted_images_per_sec ||
-        (challenger.predicted_images_per_sec ==
-             incumbent.predicted_images_per_sec &&
-         challenger.devices() < incumbent.devices()))
-      best = c;
-  }
-  return best;
-}
-
-ServingCandidate plan_serving(const ir::LayerProgram& program,
-                              int device_budget,
-                              const PartitionOptions& options) {
-  std::vector<ServingCandidate> candidates =
-      enumerate_serving(program, device_budget, options);
-  return std::move(candidates[best_serving_candidate(candidates)]);
-}
-
 }  // namespace rsnn::compiler

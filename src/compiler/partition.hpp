@@ -90,23 +90,15 @@ struct PartitionOptions {
   /// smallest feasible packing needs more, the partitioner throws an error
   /// naming that count.
   int max_devices = 0;
-  /// Expected dispatch attempts per served image (>= 1), folded into
-  /// serving-throughput predictions: inference is pure, so a retried
-  /// request recomputes the full image on another replica, and a stalled
-  /// dispatch occupies its replica for roughly one extra image of work.
-  /// Derive it from a measured window with expected_attempts_per_image()
-  /// over the pool's ServingStats counters; 1.0 (the default) predicts a
-  /// fault-free fleet.
-  double expected_attempts_per_image = 1.0;
 };
 
-/// The measured serving-overhead factor for
-/// PartitionOptions::expected_attempts_per_image: each of `completed`
-/// served images consumed one successful dispatch, each of `retries`
-/// re-queued a full image of replica work, and each of `stalls` held a
-/// replica for roughly one extra image — so the fleet delivered `completed`
-/// images for (completed + retries + stalls) images of occupancy. Returns
-/// 1.0 for an empty window; throws ContractViolation on negative counters.
+/// The measured serving-overhead factor of a serving window: each of
+/// `completed` served images consumed one successful dispatch, each of
+/// `retries` re-queued a full image of replica work (inference is pure, so
+/// a retry recomputes the image), and each of `stalls` held a replica for
+/// roughly one extra image — so the fleet delivered `completed` images for
+/// (completed + retries + stalls) images of occupancy. Returns 1.0 for an
+/// empty window; throws ContractViolation on negative counters.
 double expected_attempts_per_image(std::int64_t completed,
                                    std::int64_t retries, std::int64_t stalls);
 
@@ -157,44 +149,5 @@ std::vector<ir::ProgramSegment> partition_program(
 std::vector<ir::ProgramSegment> partition_program(
     const ir::LayerProgram& program, PartitionStrategy strategy,
     int num_segments, const PartitionOptions& options);
-
-/// One stages x replicas deployment of a serving pool: `replicas`
-/// independent copies of a `stages`-deep pipeline (stages * replicas devices
-/// total), each pipeline cut by the communication-aware balance_latency
-/// partitioner.
-struct ServingCandidate {
-  int stages = 1;
-  int replicas = 1;
-  /// Slowest stage of one pipeline, per image: re-lowered per-device compute
-  /// plus the ingress/egress cut-tensor stream transfers.
-  std::int64_t bottleneck_cycles = 0;
-  /// Steady-state fleet throughput at the program's clock:
-  /// replicas / (bottleneck_cycles * cycle time).
-  double predicted_images_per_sec = 0.0;
-  std::vector<ir::ProgramSegment> segments;
-
-  int devices() const { return stages * replicas; }
-};
-
-/// Enumerate every stages x replicas split of a device budget: for each
-/// pipeline depth K in [1, min(budget, program.size())], the fleet fields
-/// floor(budget / K) replicas of the K-stage communication-aware
-/// balance_latency partition, costed with the per-device (re-lowered) model.
-/// Ordered by ascending stage count.
-std::vector<ServingCandidate> enumerate_serving(
-    const ir::LayerProgram& program, int device_budget,
-    const PartitionOptions& options = {});
-
-/// Index of the predicted-throughput winner among `candidates` (as ordered
-/// by enumerate_serving): highest predicted images/sec, ties broken toward
-/// fewer devices, then fewer stages (prefer replication over deeper
-/// pipelines — replicas do not pay inter-device cut transfers).
-std::size_t best_serving_candidate(
-    const std::vector<ServingCandidate>& candidates);
-
-/// The winning configuration: enumerate_serving + best_serving_candidate.
-ServingCandidate plan_serving(const ir::LayerProgram& program,
-                              int device_budget,
-                              const PartitionOptions& options = {});
 
 }  // namespace rsnn::compiler

@@ -19,7 +19,8 @@
 //
 // Engines are not thread-safe: each one owns pre-allocated execution state
 // (the cycle-accurate engine owns an Accelerator::WorkerState), so create
-// one per worker thread — that is exactly what the StreamingExecutor does.
+// one per thread — each engine::ServingPool replica owns one engine, run by
+// that replica's dispatcher thread.
 //
 // Segment scope: an engine executes one ir::ProgramSegment — by default the
 // whole program, but make_engine(kind, program, segment) builds a stage

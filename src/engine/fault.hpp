@@ -5,8 +5,8 @@
 // reproducible test. A FaultPlan describes *when* faults fire — on a
 // replica's Nth execution attempt, or per-attempt with a seeded
 // probability — and a FaultInjector arms the plan across the fleet: each
-// replica's executors (StreamingExecutor / PipelineExecutor, threaded
-// through make_submitter) consult the injector before running an image.
+// engine::ServingPool replica consults the injector before running an
+// image.
 //
 // Three injectable faults:
 //   * kError — the attempt throws ReplicaFaultError (a transient failure:
@@ -89,7 +89,7 @@ bool parse_fault_plan(const std::string& text, FaultPlan* plan,
 std::string describe_fault_plan(const FaultPlan& plan);
 
 /// Arms a FaultPlan across a fleet of replicas. Thread-safe: one injector
-/// is shared by every replica's executor workers.
+/// is shared by every replica's dispatcher thread.
 class FaultInjector {
  public:
   FaultInjector(FaultPlan plan, int replicas);

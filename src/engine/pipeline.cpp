@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/assert.hpp"
-#include "engine/fault.hpp"
 
 namespace rsnn::engine {
 
@@ -38,13 +37,8 @@ void PipelineExecutor::BoundedQueue::clear() {
 
 PipelineExecutor::PipelineExecutor(const ir::LayerProgram& program,
                                    std::vector<ir::ProgramSegment> segments,
-                                   EngineKind kind, std::size_t queue_capacity,
-                                   FaultInjector* injector, int replica_index)
-    : program_(program),
-      segments_(std::move(segments)),
-      kind_(kind),
-      injector_(injector),
-      replica_index_(replica_index) {
+                                   EngineKind kind, std::size_t queue_capacity)
+    : program_(program), segments_(std::move(segments)), kind_(kind) {
   RSNN_REQUIRE(program.has_hw_annotations(),
                "pipelining needs a hardware-lowered program");
   RSNN_REQUIRE(!segments_.empty(), "pipeline needs at least one segment");
@@ -135,8 +129,6 @@ void PipelineExecutor::stage_main(std::size_t stage) {
       }
       try {
         RSNN_REQUIRE(engine != nullptr, "stage engine failed to construct");
-        if (is_first && injector_ != nullptr)
-          injector_->before_attempt(replica_index_);
         SegmentRunResult seg = engine->run_segment(token.codes);
         hw::merge_segment_result(token.partial, std::move(seg.stats));
         if (is_last) {

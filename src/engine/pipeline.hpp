@@ -8,8 +8,10 @@
 // (the cycle-accurate stage owns an Accelerator::WorkerState) — and stages
 // are connected by bounded queues carrying the activation codes that cross
 // each cut. Images stream through the stages concurrently: stage 0 works on
-// image i+1 while stage 1 finishes image i, which is how a multi-FPGA
-// deployment of the paper's design would serve traffic.
+// image i+1 while stage 1 finishes image i, as a multi-FPGA deployment of
+// the paper's design would. It backs the `rsnn_cli run --pipeline` report
+// and the pipelined microbench entries; serving (engine::ServingPool)
+// replicates whole-program engines instead.
 //
 // Results are index-aligned with the submitted batch. Logits are always
 // bit-identical to monolithic execution. Timing depends on the segments'
@@ -22,7 +24,7 @@
 //     allowed (and expected) to beat the inherited plan
 //     (tests/test_relower.cpp).
 //
-// Not reentrant: one run_pipeline() at a time (the caller is the stream).
+// Not reentrant: one run_pipeline() at a time.
 #pragma once
 
 #include <atomic>
@@ -36,7 +38,6 @@
 #include <vector>
 
 #include "engine/engine.hpp"
-#include "engine/submitter.hpp"
 #include "hw/accelerator.hpp"
 #include "ir/layer_program.hpp"
 
@@ -51,23 +52,18 @@ struct PipelineStats {
   double ns_per_inference = 0.0;  ///< wall time / images (aggregate)
 };
 
-class FaultInjector;
-
-class PipelineExecutor : public Submitter {
+class PipelineExecutor {
  public:
   /// Spawns one persistent worker per segment, each constructing its own
   /// stage engine of `kind` on its own thread. `segments` must be a
   /// contiguous partition of `program` (as produced by ir::make_segments or
   /// the compiler partitioners). Adjacent stages exchange work through
-  /// bounded queues of `queue_capacity` in-flight images. When `injector`
-  /// is non-null, stage 0 consults it (as replica `replica_index`) once per
-  /// image — injected faults abort the batch and surface as the exception
-  /// from run_pipeline(). The program (and its network) must outlive the
-  /// executor; so must the injector.
+  /// bounded queues of `queue_capacity` in-flight images. A stage that
+  /// throws aborts the batch; the error surfaces from run_pipeline(). The
+  /// program (and its network) must outlive the executor.
   PipelineExecutor(const ir::LayerProgram& program,
                    std::vector<ir::ProgramSegment> segments, EngineKind kind,
-                   std::size_t queue_capacity = 4,
-                   FaultInjector* injector = nullptr, int replica_index = 0);
+                   std::size_t queue_capacity = 4);
   ~PipelineExecutor();
   PipelineExecutor(const PipelineExecutor&) = delete;
   PipelineExecutor& operator=(const PipelineExecutor&) = delete;
@@ -81,19 +77,6 @@ class PipelineExecutor : public Submitter {
   /// Encode float images (values in [0,1)) and run them.
   std::vector<hw::AccelRunResult> run_pipeline_images(
       const std::vector<TensorF>& images);
-
-  // Submitter: a pipelined serving replica — its segments must cover the
-  // whole program (the constructor already enforces that), one simulated
-  // device per stage.
-  std::vector<hw::AccelRunResult> submit(
-      const std::vector<TensorI>& codes) override {
-    return run_pipeline(codes);
-  }
-  int lanes() const override { return stages(); }
-  std::string shape() const override {
-    return "pipeline(" + std::to_string(stages()) + ")";
-  }
-  int devices() const override { return stages(); }
 
   const PipelineStats& last_stats() const { return stats_; }
   int stages() const { return static_cast<int>(segments_.size()); }
@@ -146,8 +129,6 @@ class PipelineExecutor : public Submitter {
   const ir::LayerProgram& program_;
   const std::vector<ir::ProgramSegment> segments_;
   EngineKind kind_;
-  FaultInjector* injector_;  ///< optional, shared across the fleet
-  const int replica_index_;
 
   std::mutex mutex_;
   std::condition_variable cv_work_;

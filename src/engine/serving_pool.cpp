@@ -135,25 +135,21 @@ ServingPool::ServingPool(const ir::LayerProgram& program, EngineKind kind,
     injector_ = std::make_unique<FaultInjector>(options_.fault_plan,
                                                 options_.replicas);
 
-  // Replicas are constructed here (not on the dispatcher threads) so an
-  // invalid configuration — e.g. segments that do not cover the program —
-  // fails the constructor instead of failing every future request. The
-  // executors still build their engines on their own worker threads.
+  // Engines are built here, not on the dispatcher threads, so an engine
+  // that cannot be built fails the constructor instead of failing every
+  // future request.
   const std::size_t n = static_cast<std::size_t>(options_.replicas);
   stats_.per_replica.assign(n, 0);
   health_.assign(n, ReplicaHealth::kHealthy);
   consecutive_failures_.assign(n, 0);
   stall_count_.assign(n, 0);
-  replicas_.reserve(n);
-  for (int r = 0; r < options_.replicas; ++r)
-    replicas_.push_back(make_submitter(program_, kind_, options_.segments,
-                                       /*workers=*/1,
-                                       options_.stage_queue_capacity,
-                                       injector_.get(), r));
+  engines_.reserve(n);
+  for (std::size_t r = 0; r < n; ++r)
+    engines_.push_back(make_engine(kind_, program_));
 
-  replica_threads_.reserve(replicas_.size());
+  replica_threads_.reserve(n);
   try {
-    for (std::size_t r = 0; r < replicas_.size(); ++r)
+    for (std::size_t r = 0; r < n; ++r)
       replica_threads_.emplace_back([this, r] { replica_main(r); });
   } catch (...) {
     {
@@ -184,17 +180,6 @@ void ServingPool::shutdown(bool drain) {
   cv_not_full_.notify_all();
 }
 
-int ServingPool::devices() const {
-  const int per_replica = options_.segments.empty()
-                              ? 1
-                              : static_cast<int>(options_.segments.size());
-  return replicas() * per_replica;
-}
-
-std::string ServingPool::replica_shape() const {
-  return replicas_.front()->shape();
-}
-
 int ServingPool::active_replicas_locked() const {
   int active = 0;
   for (const ReplicaHealth health : health_)
@@ -209,7 +194,7 @@ bool ServingPool::fleet_unrecoverable_locked() const {
   // mid-rebuild on its own thread and about to come back (or retire on
   // rebuild failure): only a fully retired fleet is beyond recovery.
   return !options_.rebuild_quarantined ||
-         retired_replicas_ == replicas_.size();
+         retired_replicas_ == engines_.size();
 }
 
 void ServingPool::resolve(Queued&& request, ServingResult&& outcome) {
@@ -230,8 +215,6 @@ void ServingPool::resolve(Queued&& request, ServingResult&& outcome) {
               .count());
       if (outcome.replica >= 0)
         stats_.per_replica[static_cast<std::size_t>(outcome.replica)] += 1;
-      stats_.bottleneck_cycles = std::max(
-          stats_.bottleneck_cycles, worst_stage_cycles(outcome.result));
       last_complete_ = now;
       break;
     }
@@ -377,31 +360,9 @@ std::future<ServingResult> ServingPool::submit(Request&& request,
   return ticket;  // always valid: shed requests resolve immediately
 }
 
-std::future<ServingResult> ServingPool::submit(TensorI codes,
-                                               const RequestOptions& request) {
-  Request typed;
-  typed.codes = std::move(codes);
-  typed.options = request;
-  return submit(std::move(typed));
-}
-
-bool ServingPool::try_submit(TensorI codes,
-                             std::future<ServingResult>* ticket,
-                             const RequestOptions& request) {
-  RSNN_REQUIRE(ticket != nullptr, "try_submit needs a ticket out-param");
-  Request typed;
-  typed.codes = std::move(codes);
-  typed.options = request;
-  typed.options.admission = AdmissionMode::kNonBlocking;
-  bool admitted = false;
-  std::future<ServingResult> attempt = submit(std::move(typed), &admitted);
-  if (!admitted) return false;
-  *ticket = std::move(attempt);
-  return true;
-}
-
-std::vector<ServingPool::Queued> ServingPool::acquire_work(
-    std::size_t replica_index) {
+void ServingPool::acquire_work(std::size_t replica_index,
+                               std::vector<Queued>& work) {
+  work.clear();
   std::unique_lock<std::mutex> lock(mutex_);
 
   // Dispatch order: latency class before bulk, earliest deadline first
@@ -471,7 +432,6 @@ std::vector<ServingPool::Queued> ServingPool::acquire_work(
     return picked;
   };
 
-  std::vector<Queued> work;
   for (;;) {
     const auto now = Clock::now();
     const std::size_t best = pick_best(now);
@@ -479,7 +439,7 @@ std::vector<ServingPool::Queued> ServingPool::acquire_work(
       work.push_back(pop_at(best));
       break;
     }
-    if (closed_ && queue_.empty()) return {};
+    if (closed_ && queue_.empty()) return;
     const auto wake = next_wake(now);
     if (wake == Clock::time_point::max())
       cv_not_empty_.wait(lock);
@@ -514,21 +474,6 @@ std::vector<ServingPool::Queued> ServingPool::acquire_work(
       cv_not_empty_.wait_until(lock, std::min(window, next_wake(now)));
     }
   }
-  return work;
-}
-
-std::int64_t ServingPool::worst_stage_cycles(
-    const hw::AccelRunResult& result) const {
-  if (options_.segments.empty()) return result.total_cycles;
-  std::int64_t worst = 0;
-  for (const ir::ProgramSegment& segment : options_.segments) {
-    std::int64_t stage = 0;
-    for (std::size_t op = segment.begin;
-         op < segment.end && op < result.layers.size(); ++op)
-      stage += result.layers[op].cycles;
-    worst = std::max(worst, stage);
-  }
-  return worst;
 }
 
 bool ServingPool::record_dispatch_health(std::size_t replica_index,
@@ -563,20 +508,18 @@ bool ServingPool::record_dispatch_health(std::size_t replica_index,
 
 bool ServingPool::handle_quarantine(std::size_t replica_index) {
   if (!options_.rebuild_quarantined) return false;
-  // A rebuilt replica models a re-flashed device: fresh submitter, fault
+  // A rebuilt replica models a re-flashed device: fresh engine, fault
   // injector dead-flag cleared, health and supervision counters reset. The
   // swap is safe without further coordination — only this replica's own
-  // dispatcher thread ever touches replicas_[replica_index].
-  std::unique_ptr<Submitter> rebuilt;
+  // dispatcher thread ever touches engines_[replica_index].
+  std::unique_ptr<Engine> rebuilt;
   try {
-    rebuilt = make_submitter(program_, kind_, options_.segments,
-                             /*workers=*/1, options_.stage_queue_capacity,
-                             injector_.get(), static_cast<int>(replica_index));
+    rebuilt = make_engine(kind_, program_);
   } catch (...) {
     return false;  // rebuild failed: retire the replica
   }
   if (injector_) injector_->revive(static_cast<int>(replica_index));
-  replicas_[replica_index] = std::move(rebuilt);
+  engines_[replica_index] = std::move(rebuilt);
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     health_[replica_index] = ReplicaHealth::kHealthy;
@@ -615,9 +558,30 @@ void ServingPool::retry_or_fail(Queued&& request, const std::string& error,
   cv_not_empty_.notify_all();
 }
 
+void ServingPool::run_dispatch(std::size_t replica_index,
+                               const std::vector<TensorI>& codes,
+                               std::vector<hw::AccelRunResult>& results) {
+  Engine& engine = *engines_[replica_index];
+  if (injector_ == nullptr) {
+    engine.run_codes_batched_into(codes.data(), codes.size(), results.data());
+    return;
+  }
+  // One attempt per image, so a fault plan replays against individual
+  // inference attempts; the first fault fails the whole dispatch.
+  for (std::size_t i = 0; i < codes.size(); ++i) {
+    injector_->before_attempt(static_cast<int>(replica_index));
+    engine.run_codes_batched_into(&codes[i], 1, &results[i]);
+  }
+}
+
 void ServingPool::replica_main(std::size_t replica_index) {
+  // Dispatch buffers live as long as the replica, so a warm dispatch
+  // reuses their storage.
+  std::vector<Queued> work;
+  std::vector<TensorI> codes;
+  std::vector<hw::AccelRunResult> results;
   for (;;) {
-    std::vector<Queued> work = acquire_work(replica_index);
+    acquire_work(replica_index, work);
     if (work.empty()) return;  // closed and drained
 
     std::int64_t dispatch_seq = 0;
@@ -628,18 +592,16 @@ void ServingPool::replica_main(std::size_t replica_index) {
       dispatched_requests_ += static_cast<std::int64_t>(work.size());
     }
 
-    // The request keeps its codes: a failed dispatch re-queues the same
-    // tensor for retry on another replica.
-    std::vector<TensorI> codes;
-    codes.reserve(work.size());
-    for (const Queued& request : work) codes.push_back(request.codes);
+    // The codes move into the dispatch; a failed dispatch moves them back
+    // so the request re-queues with its tensor for retry on another replica.
+    for (Queued& request : work) codes.push_back(std::move(request.codes));
+    results.resize(work.size());
 
-    std::vector<hw::AccelRunResult> results;
     bool failed = false, bad_request = false, dead = false;
     std::string error_text;
     const auto begin = Clock::now();
     try {
-      results = replicas_[replica_index]->submit(codes);
+      run_dispatch(replica_index, codes, results);
     } catch (const ReplicaDeadError& e) {
       failed = dead = true;
       error_text = e.what();
@@ -681,10 +643,13 @@ void ServingPool::replica_main(std::size_t replica_index) {
         resolve(std::move(work[i]), std::move(outcome));
       }
     } else {
-      for (Queued& request : work)
-        retry_or_fail(std::move(request), error_text, replica_index,
+      for (std::size_t i = 0; i < work.size(); ++i) {
+        work[i].codes = std::move(codes[i]);
+        retry_or_fail(std::move(work[i]), error_text, replica_index,
                       dispatch_seq);
+      }
     }
+    codes.clear();
 
     if (!serving) {
       // Retiring (quarantined with rebuild off, or the rebuild failed). If
@@ -705,29 +670,6 @@ void ServingPool::replica_main(std::size_t replica_index) {
   }
 }
 
-ServingPool::BatchRun ServingPool::run_batch(const std::vector<TensorI>& codes,
-                                             const RequestOptions& request) {
-  BatchRun run;
-  std::vector<std::future<ServingResult>> tickets;
-  tickets.reserve(codes.size());
-  for (const TensorI& image : codes) {
-    Request typed;
-    typed.codes = image;
-    typed.options = request;
-    tickets.push_back(submit(std::move(typed)));
-  }
-  run.results.reserve(codes.size());
-  for (auto& ticket : tickets) run.results.push_back(ticket.get());
-  return run;
-}
-
-std::size_t ServingPool::BatchRun::ok_count() const {
-  std::size_t ok = 0;
-  for (const ServingResult& r : results)
-    if (r.status == RequestStatus::kOk) ++ok;
-  return ok;
-}
-
 namespace {
 double percentile(std::vector<double> sorted_samples, double q) {
   if (sorted_samples.empty()) return 0.0;
@@ -740,7 +682,7 @@ double percentile(std::vector<double> sorted_samples, double q) {
 void ServingPool::reset_stats() {
   const std::lock_guard<std::mutex> lock(mutex_);
   stats_ = ServingStats{};
-  stats_.per_replica.assign(replicas_.size(), 0);
+  stats_.per_replica.assign(engines_.size(), 0);
   latencies_ms_.clear();
   dispatched_requests_ = 0;
   saw_admit_ = false;
@@ -778,12 +720,6 @@ ServingStats ServingPool::stats() const {
   out.wall_ms = wall_s * 1e3;
   out.wall_images_per_sec =
       wall_s > 0.0 ? static_cast<double>(out.completed) / wall_s : 0.0;
-  if (out.bottleneck_cycles > 0 && out.active_replicas > 0) {
-    const double image_s = static_cast<double>(out.bottleneck_cycles) *
-                           program_.config().cycle_ns() * 1e-9;
-    out.modeled_images_per_sec =
-        static_cast<double>(out.active_replicas) / image_s;
-  }
   return out;
 }
 

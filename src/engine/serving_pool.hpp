@@ -1,19 +1,17 @@
 // ServingPool: replicated, fault-tolerant serving of a lowered LayerProgram
 // behind one bounded admission queue.
 //
-// PR 3/4 made the pipeline segment the unit of compilation and execution;
-// this module combines those pipeline stages with data-parallel replication,
-// which is how the paper's accelerator would serve heavy traffic: a fleet of
-// N identical deployments (each a monolithic device or a K-stage multi-FPGA
-// pipeline), all fed from a single admission queue.
+// The paper's accelerator runs one image's layers in sequence on one device;
+// serving replicates that device. A pool is a fleet of N identical replicas,
+// all fed from a single admission queue:
 //
 //     clients --> [ bounded admission queue | policy ] --> replica 0
 //                      (EDF within priority class)    --> replica 1
 //                                                     --> ...
 //
-// Every replica is a Submitter (engine-agnostic: StreamingExecutor or
-// PipelineExecutor), owned by one dispatcher thread that pulls work from the
-// queue per the admission policy:
+// Every replica is one Engine (make_engine), run by its own dispatcher
+// thread — N replicas are N threads. The dispatcher pulls work from the
+// queue per the admission policy and hands it to the engine's batched entry:
 //   * kFifo   — dispatch requests one at a time; a full queue blocks the
 //     producer (backpressure by blocking).
 //   * kBatch  — accumulate up to max_batch requests before dispatching, but
@@ -48,15 +46,19 @@
 // (healthy -> degraded -> quarantined) driven by consecutive dispatch
 // failures and stall detections (a dispatch whose wall duration exceeds
 // stall_timeout_ms). Quarantined replicas stop serving; with
-// rebuild_quarantined set they are rebuilt via make_submitter (and the
-// fault injector's dead flag revived) and rejoin the fleet. If every
+// rebuild_quarantined set their engine is rebuilt via make_engine (and the
+// fault injector's dead flag revived) and they rejoin the fleet. If every
 // replica quarantines, queued and future work fails fast with
 // kReplicaFailed instead of waiting forever.
 //
+// Fault injection: with a fault plan armed, a dispatch runs its requests
+// one image at a time and consults the injector before each, so a plan
+// replays against individual inference attempts; without one, a dispatch
+// is one batched engine call.
+//
 // Inference is pure — a retried request recomputes exactly the same logits
-// — so retry-elsewhere is always safe. The correctness contract carries
-// over from PR 5: results delivered with status kOk are bit-identical to
-// monolithic execution for every replica shape and policy
+// — so retry-elsewhere is always safe. Results delivered with status kOk
+// are bit-identical to monolithic execution for every policy
 // (tests/test_serving.cpp, tests/test_faults.cpp cross-check logits, the
 // latter under seeded fault plans).
 //
@@ -80,7 +82,6 @@
 
 #include "engine/engine.hpp"
 #include "engine/fault.hpp"
-#include "engine/submitter.hpp"
 #include "hw/accelerator.hpp"
 #include "ir/layer_program.hpp"
 
@@ -127,8 +128,7 @@ enum class AdmissionMode {
   /// to admit latency-class work. The submit() default.
   kBlocking,
   /// Never block and never evict: a full queue (or a closed pool) resolves
-  /// the request immediately with kRejected — the polite probe try_submit()
-  /// is built on.
+  /// the request immediately with kRejected — the polite probe.
   kNonBlocking,
 };
 
@@ -145,11 +145,9 @@ struct RequestOptions {
 };
 
 /// The unified typed serving request: every admission path — in-process
-/// callers, the CLI --serve loop, and the rsnn_serve wire protocol — builds
-/// one of these and hands it to ServingPool::submit(Request) (directly, or
-/// routed by model_id through a serve::ModelRegistry). The legacy
-/// submit(codes)/try_submit/run_batch entry points are thin wrappers that
-/// construct a Request internally.
+/// callers and the rsnn_serve wire protocol — builds one of these and hands
+/// it to ServingPool::submit(Request) (directly, or routed by model_id
+/// through a serve::ModelRegistry).
 struct Request {
   /// Routing key. Empty targets whichever pool receives the request; a
   /// non-empty id must match the pool's configured model_id or the request
@@ -183,14 +181,9 @@ struct ServingPoolOptions {
   /// Model id this pool serves, checked against Request::model_id (empty
   /// accepts only unrouted requests — see Request::model_id).
   std::string model_id;
-  /// Identical replicas behind the queue (>= 1).
+  /// Identical replicas behind the queue (>= 1), one engine and one
+  /// dispatcher thread each.
   int replicas = 1;
-  /// Replica shape: a K-stage pipeline over these segments when non-empty
-  /// (must cover the whole program), otherwise a monolithic engine: a
-  /// one-worker StreamingExecutor.
-  std::vector<ir::ProgramSegment> segments;
-  /// Inter-stage queue depth inside each pipelined replica.
-  std::size_t stage_queue_capacity = 4;
 
   /// Admission-queue capacity in requests. Must be >= 1 for the blocking
   /// policies; 0 is legal only with kReject (every request is shed — the
@@ -224,8 +217,8 @@ struct ServingPoolOptions {
   int quarantine_after_failures = 3;
   /// Stall detections (not necessarily consecutive) before quarantine.
   int quarantine_after_stalls = 2;
-  /// Rebuild quarantined replicas via make_submitter (reviving the fault
-  /// injector's dead flag) instead of retiring them.
+  /// Rebuild quarantined replicas' engines via make_engine (reviving the
+  /// fault injector's dead flag) instead of retiring them.
   bool rebuild_quarantined = false;
   /// Deterministic fault plan armed across the fleet; empty = no injection.
   FaultPlan fault_plan;
@@ -240,14 +233,12 @@ struct ClassStats {
   std::int64_t failed = 0;
   std::int64_t cancelled = 0;
   /// ok / (submitted - rejected): of the work the pool accepted, how much
-  /// it actually served. The fault_sweep bench's availability metric.
+  /// it actually served.
   double goodput = 0.0;
 };
 
 /// Cumulative pool statistics (since construction). Latency percentiles are
-/// wall-clock admission-to-completion times of kOk requests; the modeled
-/// fields translate the replicas' cycle counts into deployed-fleet hardware
-/// throughput.
+/// wall-clock admission-to-completion times of kOk requests.
 struct ServingStats {
   std::int64_t submitted = 0;   ///< admitted requests
   std::int64_t rejected = 0;    ///< shed (admission backpressure + eviction)
@@ -268,11 +259,6 @@ struct ServingStats {
   double wall_images_per_sec = 0.0;    ///< simulator wall-clock throughput
   double p50_latency_ms = 0.0;  ///< wall-clock, queueing + service, kOk only
   double p99_latency_ms = 0.0;
-  /// Modeled hardware throughput of the replicated deployment:
-  /// active replicas * clock_hz / bottleneck_cycles, from measured
-  /// per-image stage cycles (0 until a request completes).
-  double modeled_images_per_sec = 0.0;
-  std::int64_t bottleneck_cycles = 0;  ///< worst measured stage, per image
   std::vector<std::int64_t> per_replica;  ///< images served by each replica
   std::vector<ReplicaHealth> replica_health;
   int active_replicas = 0;  ///< replicas not quarantined
@@ -280,9 +266,9 @@ struct ServingStats {
 
 class ServingPool {
  public:
-  /// Spawns `options.replicas` dispatcher threads, each owning one replica
-  /// (make_submitter over `program` / `options.segments`). The program (and
-  /// its network, and any re-lowered segment programs) must outlive the
+  /// Builds `options.replicas` engines of `kind` over `program` — an engine
+  /// that cannot be built fails the constructor — and spawns one dispatcher
+  /// thread per engine. The program (and its network) must outlive the
   /// pool.
   ServingPool(const ir::LayerProgram& program, EngineKind kind,
               ServingPoolOptions options);
@@ -290,44 +276,19 @@ class ServingPool {
   ServingPool(const ServingPool&) = delete;
   ServingPool& operator=(const ServingPool&) = delete;
 
-  /// The single typed admission path — every other entry point (the legacy
-  /// wrappers below, the CLI --serve loop, the rsnn_serve wire protocol via
-  /// serve::ModelRegistry) funnels through here. Always returns a valid
-  /// future resolving with exactly one typed RequestStatus: a mismatched
-  /// model_id, a closed pool, or a full queue under kNonBlocking /
-  /// kReject resolve immediately with kRejected. Under kBlocking a full
-  /// queue blocks (kFifo/kBatch) and may evict the newest undispatched
-  /// bulk request to admit latency-class work (degradation order: bulk
-  /// first). `admitted`, when given, reports whether the request entered
-  /// the queue (false = the returned future is already resolved). A
-  /// request that is not admitted is left intact, so a router can offer it
-  /// to another pool.
+  /// The single typed admission path — in-process callers and the
+  /// rsnn_serve wire protocol (via serve::ModelRegistry) both funnel through
+  /// here. Always returns a valid future resolving with exactly one typed
+  /// RequestStatus: a mismatched model_id, a closed pool, or a full queue
+  /// under kNonBlocking / kReject resolve immediately with kRejected. Under
+  /// kBlocking a full queue blocks (kFifo/kBatch) and may evict the newest
+  /// undispatched bulk request to admit latency-class work (degradation
+  /// order: bulk first). `admitted`, when given, reports whether the
+  /// request entered the queue (false = the returned future is already
+  /// resolved). A request that is not admitted is left intact, so a router
+  /// can offer it to another pool.
   std::future<ServingResult> submit(Request&& request,
                                     bool* admitted = nullptr);
-
-  /// Thin wrapper over submit(Request): admit one request of pre-encoded
-  /// activation codes with no routing key, honoring
-  /// `request.admission` (kBlocking by default).
-  std::future<ServingResult> submit(TensorI codes,
-                                    const RequestOptions& request = {});
-
-  /// Thin wrapper over submit(Request) with admission forced to
-  /// kNonBlocking: returns false (and leaves `ticket` untouched) when the
-  /// queue is full or the pool is shutting down. No bulk eviction — this is
-  /// the polite probe.
-  bool try_submit(TensorI codes, std::future<ServingResult>* ticket,
-                  const RequestOptions& request = {});
-
-  /// Convenience wrapper over submit(Request): submit the whole batch (per
-  /// the pool's policy), wait for every request, and return results
-  /// index-aligned with `codes`.
-  struct BatchRun {
-    std::vector<ServingResult> results;
-    /// Requests resolved kOk.
-    std::size_t ok_count() const;
-  };
-  BatchRun run_batch(const std::vector<TensorI>& codes,
-                     const RequestOptions& request = {});
 
   /// The routing key this pool serves (ServingPoolOptions::model_id).
   const std::string& model_id() const { return options_.model_id; }
@@ -347,12 +308,8 @@ class ServingPool {
   void reset_stats();
 
   int replicas() const { return static_cast<int>(replica_threads_.size()); }
-  /// Simulated devices across the fleet (replicas * stages-or-1).
-  int devices() const;
   EngineKind kind() const { return kind_; }
   const ServingPoolOptions& options() const { return options_; }
-  /// Shape of replica 0 (all replicas are identical), e.g. "pipeline(2)".
-  std::string replica_shape() const;
   /// The armed fault injector; nullptr when the plan is empty.
   const FaultInjector* fault_injector() const { return injector_.get(); }
 
@@ -372,11 +329,17 @@ class ServingPool {
   };
 
   void replica_main(std::size_t replica_index);
-  /// Pop the next dispatch per the admission policy (EDF within class,
-  /// latency class first, honoring backoff gates and retry-elsewhere);
-  /// fails expired requests fast. Empty once the pool is closed and
-  /// drained, or this replica should stop serving.
-  std::vector<Queued> acquire_work(std::size_t replica_index);
+  /// Fill `work` with the next dispatch per the admission policy (EDF
+  /// within class, latency class first, honoring backoff gates and
+  /// retry-elsewhere); fails expired requests fast. Leaves `work` empty once
+  /// the pool is closed and drained.
+  void acquire_work(std::size_t replica_index, std::vector<Queued>& work);
+  /// Run one dispatch on the replica's engine: one batched call, or — with
+  /// a fault plan armed — one injector attempt and one-image call per
+  /// request.
+  void run_dispatch(std::size_t replica_index,
+                    const std::vector<TensorI>& codes,
+                    std::vector<hw::AccelRunResult>& results);
   bool admit(TensorI&& codes, const RequestOptions& request,
              std::future<ServingResult>* ticket, bool blocking,
              bool allow_evict);
@@ -402,7 +365,6 @@ class ServingPool {
   /// Fail every queued request with `status` (used when the last active
   /// replica retires, and by shutdown(false)).
   void flush_queue(RequestStatus status, const std::string& error);
-  std::int64_t worst_stage_cycles(const hw::AccelRunResult& result) const;
   int active_replicas_locked() const;
   /// True when no replica is active and none can come back: with
   /// rebuild_quarantined, a quarantine is a transient state (the replica's
@@ -437,7 +399,9 @@ class ServingPool {
   Clock::time_point last_complete_;
   bool saw_admit_ = false;
 
-  std::vector<std::unique_ptr<Submitter>> replicas_;
+  /// One engine per replica. engines_[r] is only touched by replica r's
+  /// dispatcher thread once the constructor has started it.
+  std::vector<std::unique_ptr<Engine>> engines_;
   std::vector<std::thread> replica_threads_;
 };
 

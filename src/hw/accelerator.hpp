@@ -155,9 +155,8 @@ class Accelerator {
   /// The fast-path preparation (weight repacks, coverage tables) this
   /// accelerator executes with — resolved lazily through the process-wide
   /// shared_fast_prepared() cache, so every Accelerator (and therefore every
-  /// ServingPool replica and streaming worker) lowered from the same network
-  /// holds the SAME immutable pack: pointer-equal across instances, built
-  /// once. Exposed for observability and the sharing tests.
+  /// ServingPool replica) lowered from the same network holds the SAME
+  /// immutable pack: pointer-equal across instances, built once. Exposed for observability and the sharing tests.
   std::shared_ptr<const FastPrepared> fast_prepared_shared() const;
 
  private:

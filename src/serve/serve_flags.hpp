@@ -1,8 +1,8 @@
-// The shared serving-pool flag table: the single declaration of every
-// --serve knob (admission policy, queue, batching, fault tolerance), used
-// by `rsnn_cli run --serve`, the `rsnn_serve` daemon, and any future front
-// end. One table means the two binaries stay option-compatible and their
-// generated usage text cannot drift from the parser.
+// The shared serving flag tables: the single declaration of every serving
+// knob (admission policy, queue, batching, fault tolerance) and of the
+// per-request options. The `rsnn_serve` daemon (and bench/e2e's in-process
+// replay) parses the pool table and `rsnn_client infer` the request table,
+// so the generated usage text cannot drift from the parser.
 #pragma once
 
 #include <string>
@@ -24,8 +24,8 @@ std::vector<flags::FlagSpec> serving_request_flags();
 
 /// Build pool options from a parsed FlagSet containing serving_pool_flags().
 /// Validates the text-typed domains (policy name, fault plan) and returns a
-/// friendly diagnostic, empty on success. Fields without a flag (segments,
-/// model_id, workers) keep `options`' incoming values.
+/// friendly diagnostic, empty on success. Fields without a flag (model_id,
+/// the health thresholds) keep `options`' incoming values.
 std::string pool_options_from_flags(const flags::FlagSet& flag_set,
                                     engine::ServingPoolOptions* options);
 

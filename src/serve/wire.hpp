@@ -236,9 +236,9 @@ struct ModelMetrics {
   double p99_latency_ms = 0.0;
   double wall_images_per_sec = 0.0;
   double mean_batch = 0.0;
-  /// Measured dispatch attempts per served image (the
-  /// compiler::expected_attempts_per_image fold's input, served back so a
-  /// planner can re-run plan_serving against live fleet health).
+  /// Measured dispatch attempts per served image
+  /// (compiler::expected_attempts_per_image over the pool's counters): the
+  /// fleet's retry and stall overhead, 1.0 when fault-free.
   double expected_attempts_per_image = 1.0;
   std::int32_t active_replicas = 0;
   std::vector<engine::ReplicaHealth> replica_health;

@@ -18,7 +18,7 @@
 #include "compiler/compile.hpp"
 #include "encoding/radix.hpp"
 #include "engine/engine.hpp"
-#include "engine/stream.hpp"
+#include "engine/serving_pool.hpp"
 #include "hw/accelerator.hpp"
 #include "nn/zoo.hpp"
 #include "quant/quantize.hpp"
@@ -174,12 +174,12 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(engine::engine_name(info.param));
     });
 
-// ------------------------------------------------------ batch and streaming
+// ------------------------------------------------------------- serving
 
-TEST(PackedEquivalence, StreamingMatchesSequentialRuns) {
-  // The persistent worker pool (pre-allocated per-worker state, reused
-  // across inferences) must be bit-identical to one-shot execution, and a
-  // second batch through the same warm pool must agree with the first.
+TEST(PackedEquivalence, ServingReplicasMatchSequentialRuns) {
+  // Two cycle_accurate serving replicas (pre-allocated engine state, reused
+  // across dispatches) must be bit-identical to one-shot execution, and a
+  // second round through the same warm pool must agree with the first.
   Rng rng(11);
   nn::Network net = rsnn::testing::small_random_net(rng);
   const quant::QuantizedNetwork qnet =
@@ -197,56 +197,32 @@ TEST(PackedEquivalence, StreamingMatchesSequentialRuns) {
     codes.push_back(quant::encode_activations(
         rsnn::testing::random_image(Shape{1, 10, 10}, rng), 4));
 
-  engine::StreamingExecutor stream(program, engine::EngineKind::kCycleAccurate,
-                                   /*num_workers=*/2);
-  const auto first = stream.run_stream(codes);
-  const auto second = stream.run_stream(codes);  // warm pool, reused state
-  ASSERT_EQ(first.size(), codes.size());
-  EXPECT_EQ(stream.last_stats().images, static_cast<std::int64_t>(codes.size()));
-  EXPECT_GT(stream.last_stats().images_per_sec, 0.0);
-
-  for (std::size_t i = 0; i < codes.size(); ++i) {
-    const AccelRunResult ref = accel.run_codes(codes[i]);
-    EXPECT_EQ(first[i].logits, ref.logits) << "image " << i;
-    EXPECT_EQ(first[i].total_cycles, ref.total_cycles);
-    EXPECT_EQ(first[i].total_adder_ops, ref.total_adder_ops);
-    EXPECT_EQ(second[i].logits, ref.logits) << "image " << i;
-    EXPECT_EQ(second[i].total_cycles, ref.total_cycles);
-    EXPECT_EQ(second[i].total_adder_ops, ref.total_adder_ops);
-    EXPECT_EQ(second[i].traffic_total.act_read_bits,
-              ref.traffic_total.act_read_bits);
+  engine::ServingPoolOptions options;
+  options.replicas = 2;
+  engine::ServingPool pool(program, engine::EngineKind::kCycleAccurate,
+                           options);
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const auto served = rsnn::testing::serve_batch(pool, codes);
+    ASSERT_EQ(served.size(), codes.size());
+    for (std::size_t i = 0; i < codes.size(); ++i) {
+      ASSERT_EQ(served[i].status, engine::RequestStatus::kOk) << "image " << i;
+      const AccelRunResult& run = served[i].result;
+      const AccelRunResult ref = accel.run_codes(codes[i]);
+      EXPECT_EQ(run.logits, ref.logits) << "image " << i;
+      EXPECT_EQ(run.total_cycles, ref.total_cycles);
+      EXPECT_EQ(run.total_adder_ops, ref.total_adder_ops);
+      EXPECT_EQ(run.traffic_total.act_read_bits,
+                ref.traffic_total.act_read_bits);
+      EXPECT_EQ(run.traffic_total.act_write_bits,
+                ref.traffic_total.act_write_bits);
+      EXPECT_EQ(run.traffic_total.weight_read_bits,
+                ref.traffic_total.weight_read_bits);
+      EXPECT_EQ(run.traffic_total.dram_bits, ref.traffic_total.dram_bits);
+    }
   }
-}
-
-TEST(PackedEquivalence, StreamingEmptyBatchResetsStats) {
-  // An empty batch must return a zeroed stats record, not the previous
-  // batch's throughput (regression: early return before the stats reset).
-  Rng rng(13);
-  nn::Network net = rsnn::testing::small_random_net(rng);
-  const quant::QuantizedNetwork qnet =
-      quant::quantize(net, quant::QuantizeConfig{3, 4});
-  AcceleratorConfig cfg;
-  cfg.num_conv_units = 1;
-  cfg.conv = ConvUnitGeometry{12, 5, 24};
-  cfg.pool = PoolUnitGeometry{8, 2, 16};
-  cfg.linear = LinearUnitGeometry{4, 24};
-  const ir::LayerProgram program = ir::lower(qnet, cfg);
-
-  engine::StreamingExecutor stream(program, engine::EngineKind::kReference,
-                                   /*num_workers=*/2);
-  std::vector<TensorI> codes{quant::encode_activations(
-      rsnn::testing::random_image(Shape{1, 10, 10}, rng), 4)};
-  stream.run_stream(codes);
-  ASSERT_EQ(stream.last_stats().images, 1);
-  ASSERT_GT(stream.last_stats().images_per_sec, 0.0);
-
-  const auto empty = stream.run_stream({});
-  EXPECT_TRUE(empty.empty());
-  EXPECT_EQ(stream.last_stats().images, 0);
-  EXPECT_EQ(stream.last_stats().wall_ms, 0.0);
-  EXPECT_EQ(stream.last_stats().images_per_sec, 0.0);
-  EXPECT_EQ(stream.last_stats().ns_per_inference, 0.0);
-  EXPECT_EQ(stream.last_stats().workers, 2);
+  EXPECT_EQ(pool.stats().completed,
+            2 * static_cast<std::int64_t>(codes.size()));
 }
 
 // --------------------------------------------- engine parsing and sweeps

@@ -5,7 +5,7 @@
 // changes how the simulator iterates, never what it counts.
 //
 // Also covered here: the Arena bump allocator, the zero-allocation warm
-// streaming property, and segment-scoped fast-path execution (a fused
+// batched property, and segment-scoped fast-path execution (a fused
 // conv+pool pair split by a pipeline cut).
 #include <gtest/gtest.h>
 
@@ -25,7 +25,6 @@
 #include "common/simd.hpp"
 #include "engine/engine.hpp"
 #include "engine/serving_pool.hpp"
-#include "engine/stream.hpp"
 #include "hw/accelerator.hpp"
 #include "hw/fast_path.hpp"
 #include "ir/layer_program.hpp"
@@ -329,46 +328,6 @@ TEST(FastPathPrepared, WeightOutsideInt8OrWideCodesAreRefused) {
   wide.time_bits = 17;
   const ir::LayerProgram wide_program = ir::lower(wide, cfg);
   EXPECT_THROW(prepare_fast_path(wide_program), ContractViolation);
-}
-
-// ------------------------------------------------- zero-allocation warmth
-
-TEST(FastPath, WarmStreamingInferenceAllocatesNothing) {
-#ifdef RSNN_SANITIZERS_ACTIVE
-  GTEST_SKIP() << "allocation counting is not meaningful under sanitizers";
-#else
-  Rng rng(91);
-  nn::Network net = rsnn::testing::small_random_net(rng);
-  const quant::QuantizedNetwork qnet =
-      quant::quantize(net, quant::QuantizeConfig{3, 4});
-  AcceleratorConfig cfg;
-  cfg.conv = ConvUnitGeometry{16, 3, 24};
-  cfg.pool = PoolUnitGeometry{8, 2, 16};
-  cfg.linear = LinearUnitGeometry{8, 24};
-  const ir::LayerProgram program = ir::lower(qnet, cfg);
-
-  engine::StreamingExecutor stream(program, engine::EngineKind::kCycleAccurate,
-                                   /*num_workers=*/1);
-  std::vector<TensorI> batch(
-      4, quant::encode_activations(random_image(qnet.input_shape, rng),
-                                   qnet.time_bits));
-  std::vector<AccelRunResult> results;
-  // Two warm batches: the first builds the prepared weights and sizes every
-  // scratch buffer; the second consolidates the arena's primary chunk.
-  stream.run_stream_into(batch, results);
-  stream.run_stream_into(batch, results);
-  const AccelRunResult warm = results.at(0);
-
-  const std::uint64_t before = common::allocation_count();
-  // Guard against a vacuous pass: the setup above allocates plenty, so a
-  // zero counter means the counting hook did not link into this binary.
-  ASSERT_GT(before, 0u) << "allocation hook not linked";
-  stream.run_stream_into(batch, results);
-  const std::uint64_t after = common::allocation_count();
-  EXPECT_EQ(after - before, 0u)
-      << "warm fast-path streaming inference must not touch the heap";
-  expect_bit_identical(results.at(0), warm);
-#endif
 }
 
 // ------------------------------------------------------- SIMD dispatch
@@ -801,53 +760,18 @@ TEST(FastPathShared, ServingReplicasReuseTheSharedPack) {
   {
     engine::ServingPool pool(program, engine::EngineKind::kCycleAccurate,
                              opts);
-    const auto run = pool.run_batch(codes);
-    ASSERT_EQ(run.ok_count(), codes.size());
+    const auto run = rsnn::testing::serve_batch(pool, codes);
     // Shared prepared weights never blur the results: every served answer
     // matches the warm monolithic engine bit for bit.
     for (std::size_t i = 0; i < codes.size(); ++i) {
       SCOPED_TRACE("request " + std::to_string(i));
+      ASSERT_EQ(run[i].status, engine::RequestStatus::kOk) << run[i].error;
       warm->run_codes_into(codes[i], tmp);
-      EXPECT_EQ(run.results[i].result.logits, tmp.logits);
+      EXPECT_EQ(run[i].result.logits, tmp.logits);
     }
   }
   EXPECT_EQ(fast_prepared_build_count(), before)
       << "serving replicas must reuse the shared prepared pack, not rebuild";
-}
-
-// ------------------------------------------------ stream chunk option
-
-TEST(Stream, ChunkOptionKeepsResultsIdenticalAndValidates) {
-  Rng rng(907);
-  nn::Network net = rsnn::testing::small_random_net(rng);
-  const quant::QuantizedNetwork qnet =
-      quant::quantize(net, quant::QuantizeConfig{3, 4});
-  AcceleratorConfig cfg;
-  cfg.conv = ConvUnitGeometry{16, 3, 24};
-  cfg.pool = PoolUnitGeometry{8, 2, 16};
-  cfg.linear = LinearUnitGeometry{8, 24};
-  const ir::LayerProgram program = ir::lower(qnet, cfg);
-  const std::vector<TensorI> codes = random_code_batch(qnet, 10, rng);
-
-  engine::StreamingExecutor chunk8(program,
-                                   engine::EngineKind::kCycleAccurate,
-                                   /*num_workers=*/2);
-  engine::StreamingExecutor chunk3(
-      program, engine::EngineKind::kCycleAccurate, /*num_workers=*/2,
-      /*injector=*/nullptr, /*replica_index=*/0, engine::StreamOptions{3});
-  const auto a = chunk8.run_stream(codes);
-  const auto b = chunk3.run_stream(codes);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    SCOPED_TRACE("image " + std::to_string(i));
-    expect_bit_identical(a[i], b[i]);
-  }
-
-  EXPECT_THROW(engine::StreamingExecutor(
-                   program, engine::EngineKind::kCycleAccurate,
-                   /*num_workers=*/1, /*injector=*/nullptr,
-                   /*replica_index=*/0, engine::StreamOptions{0}),
-               ContractViolation);
 }
 
 // ------------------------------------------------------- mode plumbing

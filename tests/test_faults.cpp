@@ -14,7 +14,6 @@
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
-#include "compiler/partition.hpp"
 #include "engine/engine.hpp"
 #include "engine/fault.hpp"
 #include "engine/serving_pool.hpp"
@@ -25,6 +24,9 @@
 
 namespace rsnn::engine {
 namespace {
+
+using rsnn::testing::request_for;
+using rsnn::testing::serve_batch;
 
 /// LeNet-5 at T=4 on the paper's reference design — the acceptance workload.
 struct LeNetFixture {
@@ -203,10 +205,10 @@ TEST(ServingPool, TransientFaultRetriesOnAnotherReplica) {
 
   // Whichever replica draws the request, it resolves kOk: replica 0's two
   // poisoned attempts are retried (preferentially on replica 1).
-  const auto run = pool.run_batch(batch);
-  ASSERT_EQ(run.results[0].status, RequestStatus::kOk)
-      << run.results[0].error;
-  EXPECT_EQ(run.results[0].result.logits, reference[0].logits);
+  const auto run = serve_batch(pool, batch);
+  ASSERT_EQ(run[0].status, RequestStatus::kOk)
+      << run[0].error;
+  EXPECT_EQ(run[0].result.logits, reference[0].logits);
 
   const ServingStats stats = pool.stats();
   EXPECT_EQ(stats.completed, 1);
@@ -231,8 +233,8 @@ TEST(ServingPool, RetryStormIsBoundedByBackoffCap) {
   options.fault_plan = plan_of("err:p1.0");
   ServingPool pool(fx.program, EngineKind::kReference, options);
 
-  const auto run = pool.run_batch(batch);
-  for (const ServingResult& result : run.results) {
+  const auto run = serve_batch(pool, batch);
+  for (const ServingResult& result : run) {
     EXPECT_EQ(result.status, RequestStatus::kReplicaFailed);
     EXPECT_EQ(result.attempts, options.max_retries + 1);
     EXPECT_FALSE(result.error.empty());
@@ -254,8 +256,8 @@ TEST(ServingPool, DeadReplicaQuarantinesAndFailsFast) {
   options.fault_plan = plan_of("kill:r0@1");
   ServingPool pool(fx.program, EngineKind::kReference, options);
 
-  const auto run = pool.run_batch(batch);
-  for (const ServingResult& result : run.results) {
+  const auto run = serve_batch(pool, batch);
+  for (const ServingResult& result : run) {
     EXPECT_EQ(result.status, RequestStatus::kReplicaFailed);
     EXPECT_FALSE(result.error.empty());
   }
@@ -265,7 +267,7 @@ TEST(ServingPool, DeadReplicaQuarantinesAndFailsFast) {
   ASSERT_EQ(stats.replica_health.size(), 1u);
   EXPECT_EQ(stats.replica_health[0], ReplicaHealth::kQuarantined);
 
-  auto late = pool.submit(batch[0]);
+  auto late = pool.submit(request_for(batch[0]));
   const ServingResult result = late.get();
   EXPECT_EQ(result.status, RequestStatus::kReplicaFailed);
   EXPECT_NE(result.error.find("no active replicas"), std::string::npos);
@@ -290,12 +292,12 @@ TEST(ServingPool, DyingReplicaHandsInFlightBatchToSurvivor) {
   options.fault_plan = plan_of("kill:r0@1");
   ServingPool pool(fx.program, EngineKind::kReference, options);
 
-  const auto run = pool.run_batch(batch);
-  ASSERT_EQ(run.ok_count(), batch.size());
+  const auto run = serve_batch(pool, batch);
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(run.results[i].result.logits, reference[i].logits)
+    ASSERT_EQ(run[i].status, RequestStatus::kOk) << "image " << i;
+    EXPECT_EQ(run[i].result.logits, reference[i].logits)
         << "image " << i;
-    EXPECT_EQ(run.results[i].replica, 1) << "image " << i;
+    EXPECT_EQ(run[i].replica, 1) << "image " << i;
   }
   const ServingStats stats = pool.stats();
   EXPECT_EQ(stats.active_replicas, 1);
@@ -305,7 +307,7 @@ TEST(ServingPool, DyingReplicaHandsInFlightBatchToSurvivor) {
 
 TEST(ServingPool, QuarantinedReplicaIsRebuiltWhenConfigured) {
   // The same killed single replica, but with rebuild enabled: the pool
-  // re-creates the submitter (re-flashes the device), revives the injector
+  // re-creates the engine (re-flashes the device), revives the injector
   // dead flag, and the retried request completes.
   const LeNetFixture fx;
   const auto batch = lenet_batch(2, fx.qnet.time_bits);
@@ -317,13 +319,13 @@ TEST(ServingPool, QuarantinedReplicaIsRebuiltWhenConfigured) {
   options.fault_plan = plan_of("kill:r0@1");
   ServingPool pool(fx.program, EngineKind::kReference, options);
 
-  const auto run = pool.run_batch(batch);
+  const auto run = serve_batch(pool, batch);
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    ASSERT_EQ(run.results[i].status, RequestStatus::kOk)
-        << "image " << i << ": " << status_name(run.results[i].status)
-        << " after " << run.results[i].attempts
-        << " attempt(s): " << run.results[i].error;
-    EXPECT_EQ(run.results[i].result.logits, reference[i].logits)
+    ASSERT_EQ(run[i].status, RequestStatus::kOk)
+        << "image " << i << ": " << status_name(run[i].status)
+        << " after " << run[i].attempts
+        << " attempt(s): " << run[i].error;
+    EXPECT_EQ(run[i].result.logits, reference[i].logits)
         << "image " << i;
   }
 
@@ -336,37 +338,51 @@ TEST(ServingPool, QuarantinedReplicaIsRebuiltWhenConfigured) {
 }
 
 TEST(ServingPool, StallDetectionDegradesAndQuarantines) {
-  // Replica 0 stalls 500ms on each of its first two attempts against a
-  // 250ms stall budget. The tiny fixture keeps natural service in the
-  // microseconds even sanitized and loaded, so only injected stalls can
-  // trip detection: the work still completes (stalls deliver late, they
-  // do not fail), but the replica quarantines after the second stall and
-  // replica 1 carries the rest.
+  // One replica against a 250ms stall budget, so every attempt is replica
+  // 0's and the stall counts are deterministic. The tiny fixture keeps
+  // natural service in the microseconds even sanitized and loaded, so only
+  // the injected 500ms stalls can trip detection. Stalled work still
+  // completes: stalls deliver late, they do not fail.
   const TinyFixture fx;
   const auto batch = tiny_batch(6, fx.qnet.time_bits);
 
   ServingPoolOptions options;
-  options.replicas = 2;
   options.stall_timeout_ms = 250.0;
   options.quarantine_after_stalls = 2;
-  options.fault_plan = plan_of("stall:r0@1x500,stall:r0@2x500");
-  ServingPool pool(fx.program, EngineKind::kReference, options);
+  {
+    // One stall degrades the replica; it keeps serving the rest.
+    options.fault_plan = plan_of("stall:r0@1x500");
+    ServingPool pool(fx.program, EngineKind::kReference, options);
+    const auto run = serve_batch(pool, batch);
+    for (std::size_t i = 0; i < batch.size(); ++i)
+      EXPECT_EQ(run[i].status, RequestStatus::kOk)
+          << "image " << i << ": stalled work still completes";
 
-  const auto run = pool.run_batch(batch);
-  EXPECT_EQ(run.ok_count(), batch.size()) << "stalled work still completes";
-
-  const ServingStats stats = pool.stats();
-  EXPECT_EQ(stats.completed, static_cast<std::int64_t>(batch.size()));
-  EXPECT_EQ(stats.failed, 0);
-  // Scheduling decides how many of replica 0's attempts actually stalled
-  // before quarantine, but at least one must have been detected.
-  EXPECT_GE(stats.stalls, 1);
-  EXPECT_LE(stats.active_replicas, 2);
-  if (stats.stalls >= 2) {
-    EXPECT_EQ(stats.replica_health[0], ReplicaHealth::kQuarantined);
-    EXPECT_EQ(stats.active_replicas, 1);
-  } else {
+    const ServingStats stats = pool.stats();
+    EXPECT_EQ(stats.completed, static_cast<std::int64_t>(batch.size()));
+    EXPECT_EQ(stats.failed, 0);
+    EXPECT_EQ(stats.stalls, 1);
     EXPECT_EQ(stats.replica_health[0], ReplicaHealth::kDegraded);
+    EXPECT_EQ(stats.active_replicas, 1);
+  }
+  {
+    // The second stall quarantines it; with rebuild on, the rebuilt replica
+    // rejoins healthy and serves the rest.
+    options.fault_plan = plan_of("stall:r0@1x500,stall:r0@2x500");
+    options.rebuild_quarantined = true;
+    ServingPool pool(fx.program, EngineKind::kReference, options);
+    const auto run = serve_batch(pool, batch);
+    for (std::size_t i = 0; i < batch.size(); ++i)
+      EXPECT_EQ(run[i].status, RequestStatus::kOk)
+          << "image " << i << ": " << run[i].error;
+
+    const ServingStats stats = pool.stats();
+    EXPECT_EQ(stats.completed, static_cast<std::int64_t>(batch.size()));
+    EXPECT_EQ(stats.failed, 0);
+    EXPECT_EQ(stats.stalls, 2);
+    EXPECT_EQ(stats.rebuilds, 1);
+    EXPECT_EQ(stats.replica_health[0], ReplicaHealth::kHealthy);
+    EXPECT_EQ(stats.active_replicas, 1);
   }
 }
 
@@ -383,13 +399,13 @@ TEST(ServingPool, QueuedDeadlineExpiresTyped) {
   options.fault_plan = plan_of("stall:r0@1x150");
   ServingPool pool(fx.program, EngineKind::kReference, options);
 
-  auto blocker = pool.submit(batch[0]);
+  auto blocker = pool.submit(request_for(batch[0]));
   // Let the dispatcher pull the blocker first — submitted back-to-back, EDF
   // would dispatch the deadlined request ahead of the deadline-less blocker.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   RequestOptions hurried;
   hurried.deadline_ms = 10.0;
-  auto doomed = pool.submit(batch[1], hurried);
+  auto doomed = pool.submit(request_for(batch[1], hurried));
 
   EXPECT_EQ(blocker.get().status, RequestStatus::kOk);
   const ServingResult result = doomed.get();
@@ -414,7 +430,7 @@ TEST(ServingPool, LatencyClassDispatchesBeforeBulkAndEdfWithinClass) {
   options.fault_plan = plan_of("stall:r0@1x60");
   ServingPool pool(fx.program, EngineKind::kReference, options);
 
-  auto blocker = pool.submit(batch[0]);  // dispatches, stalls 60ms
+  auto blocker = pool.submit(request_for(batch[0]));  // dispatches, stalls 60ms
   // Give the dispatcher time to pull the blocker so the queue is empty.
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
 
@@ -425,9 +441,9 @@ TEST(ServingPool, LatencyClassDispatchesBeforeBulkAndEdfWithinClass) {
   RequestOptions urgent;  // latency class, tighter deadline, submitted last
   urgent.deadline_ms = 1000.0;
 
-  auto bulk_ticket = pool.submit(batch[1], bulk);
-  auto relaxed_ticket = pool.submit(batch[2], relaxed);
-  auto urgent_ticket = pool.submit(batch[3], urgent);
+  auto bulk_ticket = pool.submit(request_for(batch[1], bulk));
+  auto relaxed_ticket = pool.submit(request_for(batch[2], relaxed));
+  auto urgent_ticket = pool.submit(request_for(batch[3], urgent));
 
   const ServingResult b = bulk_ticket.get();
   const ServingResult r = relaxed_ticket.get();
@@ -452,14 +468,14 @@ TEST(ServingPool, OverloadShedsNewestBulkForLatencyWork) {
   options.fault_plan = plan_of("stall:r0@1x100");
   ServingPool pool(fx.program, EngineKind::kReference, options);
 
-  auto blocker = pool.submit(batch[0]);  // dispatched, stalling
+  auto blocker = pool.submit(request_for(batch[0]));  // dispatched, stalling
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
 
   RequestOptions bulk;
   bulk.priority = PriorityClass::kBulk;
-  auto bulk_old = pool.submit(batch[1], bulk);
-  auto bulk_new = pool.submit(batch[2], bulk);  // fills the queue
-  auto latency = pool.submit(batch[3]);         // evicts bulk_new
+  auto bulk_old = pool.submit(request_for(batch[1], bulk));
+  auto bulk_new = pool.submit(request_for(batch[2], bulk));  // fills the queue
+  auto latency = pool.submit(request_for(batch[3]));         // evicts bulk_new
 
   EXPECT_EQ(blocker.get().status, RequestStatus::kOk);
   EXPECT_EQ(bulk_old.get().status, RequestStatus::kOk);
@@ -488,7 +504,8 @@ TEST(ServingPool, ShutdownUnblocksProducersStuckOnAFullQueue) {
   options.fault_plan = plan_of("stall:r0@1x150");
   ServingPool pool(fx.program, EngineKind::kReference, options);
 
-  auto blocker = pool.submit(batch[0]);  // dispatched, stalling 150ms
+  // Dispatched, stalling 150ms.
+  auto blocker = pool.submit(request_for(batch[0]));
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
 
   constexpr int kProducers = 3;
@@ -496,7 +513,7 @@ TEST(ServingPool, ShutdownUnblocksProducersStuckOnAFullQueue) {
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p)
     producers.emplace_back(
-        [&, p] { tickets[p] = pool.submit(batch[0]); });
+        [&, p] { tickets[p] = pool.submit(request_for(batch[0])); });
   // Let the producers pile up: one fills the queue, the rest block on it.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   pool.shutdown(/*drain=*/true);
@@ -527,10 +544,10 @@ TEST(ServingPool, NonDrainingShutdownCancelsUndispatchedWork) {
   options.fault_plan = plan_of("stall:r0@1x100");
   ServingPool pool(fx.program, EngineKind::kReference, options);
 
-  auto in_flight = pool.submit(batch[0]);  // dispatched, stalling
+  auto in_flight = pool.submit(request_for(batch[0]));  // dispatched, stalling
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  auto queued_a = pool.submit(batch[1]);
-  auto queued_b = pool.submit(batch[2]);
+  auto queued_a = pool.submit(request_for(batch[1]));
+  auto queued_b = pool.submit(request_for(batch[2]));
   pool.shutdown(/*drain=*/false);
 
   EXPECT_EQ(in_flight.get().status, RequestStatus::kOk)
@@ -542,7 +559,7 @@ TEST(ServingPool, NonDrainingShutdownCancelsUndispatchedWork) {
   EXPECT_EQ(stats.cancelled, 2);
   EXPECT_EQ(stats.completed, 1);
 
-  auto late = pool.submit(batch[0]);
+  auto late = pool.submit(request_for(batch[0]));
   EXPECT_EQ(late.get().status, RequestStatus::kRejected);
 }
 
@@ -574,7 +591,7 @@ TEST(ServingPool, ChaosRunSurvivesKilledReplicaAndTransientErrors) {
   RequestOptions latency;
   latency.deadline_ms = 0.0;  // no deadline: isolate fault handling
   for (const TensorI& codes : batch)
-    tickets.push_back(pool.submit(codes, latency));
+    tickets.push_back(pool.submit(request_for(codes, latency)));
 
   int ok = 0;
   for (int i = 0; i < kRequests; ++i) {
@@ -606,31 +623,6 @@ TEST(ServingPool, ChaosRunSurvivesKilledReplicaAndTransientErrors) {
   EXPECT_EQ(stats.active_replicas, 3);
   EXPECT_EQ(stats.replica_health[2], ReplicaHealth::kQuarantined);
   EXPECT_GT(stats.retries, 0) << "transient errors were retried";
-}
-
-// Pipelined replicas share the same fault path (stage 0 consults the
-// injector once per image): a killed pipelined replica hands its work to
-// the surviving replica with logits intact.
-TEST(ServingPool, PipelinedReplicaSurvivesInjectedKill) {
-  const LeNetFixture fx;
-  const auto batch = lenet_batch(3, fx.qnet.time_bits);
-  const auto reference =
-      monolithic_reference(fx.program, EngineKind::kReference, batch);
-
-  ServingPoolOptions options;
-  options.replicas = 2;
-  options.segments = compiler::partition_balance_latency(fx.program, 2);
-  options.fault_plan = plan_of("kill:r0@1");
-  ServingPool pool(fx.program, EngineKind::kReference, options);
-
-  const auto run = pool.run_batch(batch);
-  ASSERT_EQ(run.ok_count(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(run.results[i].result.logits, reference[i].logits)
-        << "image " << i;
-    EXPECT_EQ(run.results[i].replica, 1);
-  }
-  EXPECT_EQ(pool.stats().active_replicas, 1);
 }
 
 }  // namespace

@@ -1,7 +1,13 @@
-// Shared fixtures for the test suite: small random networks and inputs.
+// Shared fixtures for the test suite: small random networks and inputs, and
+// a batch driver for the serving pool's typed submit(Request) path.
 #pragma once
 
+#include <future>
+#include <utility>
+#include <vector>
+
 #include "common/rng.hpp"
+#include "engine/serving_pool.hpp"
 #include "nn/activation.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/flatten.hpp"
@@ -74,6 +80,30 @@ inline nn::Network sweep_net(const SweepConfig& cfg, Rng& rng) {
     for (std::int64_t i = 0; i < p->value.numel(); ++i)
       p->value.at_flat(i) *= 0.5f;
   return net;
+}
+
+/// A typed serving request for `codes` with `options` and no routing key.
+inline engine::Request request_for(TensorI codes,
+                                   const engine::RequestOptions& options = {}) {
+  engine::Request request;
+  request.codes = std::move(codes);
+  request.options = options;
+  return request;
+}
+
+/// Submit every image of `codes` through ServingPool::submit(Request), wait
+/// for all of them, and return the outcomes index-aligned with `codes`.
+inline std::vector<engine::ServingResult> serve_batch(
+    engine::ServingPool& pool, const std::vector<TensorI>& codes,
+    const engine::RequestOptions& options = {}) {
+  std::vector<std::future<engine::ServingResult>> tickets;
+  tickets.reserve(codes.size());
+  for (const TensorI& image : codes)
+    tickets.push_back(pool.submit(request_for(image, options)));
+  std::vector<engine::ServingResult> results;
+  results.reserve(codes.size());
+  for (auto& ticket : tickets) results.push_back(ticket.get());
+  return results;
 }
 
 }  // namespace rsnn::testing

@@ -1,12 +1,11 @@
-// Replicated serving: every pool configuration (replica count x replica
-// shape x admission policy) must produce logits bit-identical to monolithic
-// execution, the admission queue must survive concurrent producers and honor
-// its edge cases (zero capacity, shutdown with in-flight work, batch
-// deadline with a single pending item), and plan_serving must pick the
-// predicted-throughput-optimal stages x replicas split.
+// Replicated serving: every pool configuration (replica count x admission
+// policy) must produce logits bit-identical to monolithic execution, a
+// replica must cost exactly one thread, and the admission queue must survive
+// concurrent producers and honor its edge cases (zero capacity, shutdown
+// with in-flight work, batch deadline with a single pending item).
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <filesystem>
 #include <future>
 #include <thread>
 #include <vector>
@@ -16,7 +15,6 @@
 #include "compiler/partition.hpp"
 #include "engine/engine.hpp"
 #include "engine/serving_pool.hpp"
-#include "engine/submitter.hpp"
 #include "hw/accelerator.hpp"
 #include "nn/zoo.hpp"
 #include "quant/quantize.hpp"
@@ -24,6 +22,9 @@
 
 namespace rsnn::engine {
 namespace {
+
+using rsnn::testing::request_for;
+using rsnn::testing::serve_batch;
 
 /// LeNet-5 at T=4 on the paper's reference design — the acceptance workload.
 struct LeNetFixture {
@@ -72,37 +73,6 @@ TEST(AdmissionPolicyNames, RoundTripAndErrors) {
   EXPECT_THROW(parse_policy(""), ContractViolation);
 }
 
-// ----------------------------------------------------- submitter facade
-
-TEST(Submitter, StreamAndPipelineSharesOneInterface) {
-  const LeNetFixture fx;
-  const auto batch = lenet_batch(2, fx.qnet.time_bits);
-  const auto reference =
-      monolithic_reference(fx.program, EngineKind::kReference, batch);
-
-  auto monolithic =
-      make_submitter(fx.program, EngineKind::kReference, {}, /*workers=*/2);
-  EXPECT_EQ(monolithic->shape(), "stream(2)");
-  EXPECT_EQ(monolithic->lanes(), 2);
-  EXPECT_EQ(monolithic->devices(), 1);
-
-  const auto segments = compiler::partition_balance_latency(fx.program, 3);
-  auto pipelined =
-      make_submitter(fx.program, EngineKind::kReference, segments);
-  EXPECT_EQ(pipelined->shape(), "pipeline(3)");
-  EXPECT_EQ(pipelined->lanes(), 3);
-  EXPECT_EQ(pipelined->devices(), 3);
-
-  for (Submitter* submitter : {monolithic.get(), pipelined.get()}) {
-    const auto results = submitter->submit(batch);
-    ASSERT_EQ(results.size(), batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      EXPECT_EQ(results[i].logits, reference[i].logits) << submitter->shape();
-      EXPECT_EQ(results[i].predicted_class, reference[i].predicted_class);
-    }
-  }
-}
-
 // ------------------------------------ pool equivalence (acceptance)
 
 /// Every pool configuration must serve bit-identical logits: the pool adds
@@ -116,15 +86,13 @@ TEST(ServingPool, CrossChecksLogitsAcrossConfigurations) {
   struct Config {
     const char* label;
     int replicas;
-    int stages;
     AdmissionPolicy policy;
   };
   const std::vector<Config> configs = {
-      {"2 monolithic replicas, fifo", 2, 1, AdmissionPolicy::kFifo},
-      {"1 three-stage pipeline, fifo", 1, 3, AdmissionPolicy::kFifo},
-      {"2 two-stage pipelines, fifo", 2, 2, AdmissionPolicy::kFifo},
-      {"2 monolithic replicas, batch", 2, 1, AdmissionPolicy::kBatch},
-      {"2 two-stage pipelines, batch", 2, 2, AdmissionPolicy::kBatch},
+      {"1 replica, fifo", 1, AdmissionPolicy::kFifo},
+      {"2 replicas, fifo", 2, AdmissionPolicy::kFifo},
+      {"2 replicas, batch", 2, AdmissionPolicy::kBatch},
+      {"2 replicas, reject", 2, AdmissionPolicy::kReject},
   };
 
   for (const Config& config : configs) {
@@ -133,25 +101,20 @@ TEST(ServingPool, CrossChecksLogitsAcrossConfigurations) {
     options.replicas = config.replicas;
     options.policy = config.policy;
     options.max_wait_ms = 0.5;
-    if (config.stages > 1)
-      options.segments =
-          compiler::partition_balance_latency(fx.program, config.stages);
     ServingPool pool(fx.program, EngineKind::kReference, options);
     EXPECT_EQ(pool.replicas(), config.replicas);
-    EXPECT_EQ(pool.devices(), config.replicas * config.stages);
 
-    const auto run = pool.run_batch(batch);
-    ASSERT_EQ(run.results.size(), batch.size());
-    EXPECT_EQ(run.ok_count(), batch.size());
+    const auto run = serve_batch(pool, batch);
+    ASSERT_EQ(run.size(), batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      ASSERT_EQ(run.results[i].status, RequestStatus::kOk) << "image " << i;
-      const hw::AccelRunResult& result = run.results[i].result;
+      ASSERT_EQ(run[i].status, RequestStatus::kOk) << "image " << i;
+      const hw::AccelRunResult& result = run[i].result;
       EXPECT_EQ(result.logits, reference[i].logits) << "image " << i;
       EXPECT_EQ(result.predicted_class, reference[i].predicted_class);
       EXPECT_EQ(result.total_cycles, reference[i].total_cycles);
       EXPECT_EQ(result.total_adder_ops, reference[i].total_adder_ops);
-      EXPECT_EQ(run.results[i].attempts, 1);
-      EXPECT_GE(run.results[i].replica, 0);
+      EXPECT_EQ(run[i].attempts, 1);
+      EXPECT_GE(run[i].replica, 0);
     }
 
     const ServingStats stats = pool.stats();
@@ -161,55 +124,31 @@ TEST(ServingPool, CrossChecksLogitsAcrossConfigurations) {
     for (const std::int64_t count : stats.per_replica) served += count;
     EXPECT_EQ(served, static_cast<std::int64_t>(batch.size()));
     EXPECT_GT(stats.wall_images_per_sec, 0.0);
-    EXPECT_GT(stats.modeled_images_per_sec, 0.0);
-    EXPECT_GT(stats.bottleneck_cycles, 0);
     EXPECT_LE(stats.p50_latency_ms, stats.p99_latency_ms);
   }
 }
 
-TEST(ServingPool, CycleAccurateReplicatedPipelineMatchesMonolithic) {
+TEST(ServingPool, EachReplicaIsOneThread) {
+  // A replica is one engine run by its own dispatcher thread: a pool of R
+  // replicas adds exactly R threads to the process.
+  const std::filesystem::path tasks = "/proc/self/task";
+  if (!std::filesystem::exists(tasks))
+    GTEST_SKIP() << "no /proc/self/task to count threads with";
+  const auto thread_count = [&tasks] {
+    std::size_t count = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(tasks)) {
+      (void)entry;
+      ++count;
+    }
+    return count;
+  };
   const LeNetFixture fx;
-  const auto batch = lenet_batch(3, fx.qnet.time_bits);
-  const auto reference =
-      monolithic_reference(fx.program, EngineKind::kCycleAccurate, batch);
-
   ServingPoolOptions options;
-  options.replicas = 2;
-  options.segments = compiler::partition_balance_latency(fx.program, 2);
+  options.replicas = 3;
+
+  const std::size_t before = thread_count();
   ServingPool pool(fx.program, EngineKind::kCycleAccurate, options);
-
-  const auto run = pool.run_batch(batch);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    ASSERT_EQ(run.results[i].status, RequestStatus::kOk) << "image " << i;
-    const hw::AccelRunResult& result = run.results[i].result;
-    EXPECT_EQ(result.logits, reference[i].logits) << "image " << i;
-    EXPECT_EQ(result.total_cycles, reference[i].total_cycles);
-    EXPECT_EQ(result.total_adder_ops, reference[i].total_adder_ops);
-    EXPECT_EQ(result.dram_bits, reference[i].dram_bits);
-  }
-}
-
-TEST(ServingPool, RelowereedPipelineReplicasKeepLogits) {
-  // Re-lowered stages run their own per-device programs: logits must stay
-  // bit-identical even though per-stage cycles may differ from monolithic.
-  const LeNetFixture fx;
-  const auto batch = lenet_batch(2, fx.qnet.time_bits);
-  const auto reference =
-      monolithic_reference(fx.program, EngineKind::kCycleAccurate, batch);
-
-  ServingPoolOptions options;
-  options.replicas = 2;
-  options.segments = compiler::partition_balance_latency(
-      fx.program, 2, compiler::PartitionOptions{});
-  ASSERT_TRUE(options.segments.front().is_relowered());
-  ServingPool pool(fx.program, EngineKind::kCycleAccurate, options);
-
-  const auto run = pool.run_batch(batch);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    ASSERT_EQ(run.results[i].status, RequestStatus::kOk) << "image " << i;
-    EXPECT_EQ(run.results[i].result.logits, reference[i].logits)
-        << "image " << i;
-  }
+  EXPECT_EQ(thread_count(), before + 3);
 }
 
 // ------------------------------------------------ queue concurrency
@@ -236,7 +175,8 @@ TEST(ServingPool, ConcurrentProducersHammerABoundedQueue) {
   for (int p = 0; p < kProducers; ++p)
     producers.emplace_back([&, p] {
       for (int i = 0; i < kPerProducer; ++i)
-        tickets[p].push_back(pool.submit(batch[p * kPerProducer + i]));
+        tickets[p].push_back(
+            pool.submit(request_for(batch[p * kPerProducer + i])));
     });
   for (std::thread& producer : producers) producer.join();
 
@@ -266,16 +206,20 @@ TEST(ServingPool, ZeroCapacityQueueRejectsEverything) {
   ServingPool pool(fx.program, EngineKind::kReference, options);
 
   for (const TensorI& codes : batch) {
-    auto ticket = pool.submit(codes);
+    auto ticket = pool.submit(request_for(codes));
     ASSERT_TRUE(ticket.valid()) << "shed requests resolve, never invalidate";
     const ServingResult shed = ticket.get();
     EXPECT_EQ(shed.status, RequestStatus::kRejected);
     EXPECT_FALSE(shed.error.empty());
     EXPECT_EQ(shed.attempts, 0);
   }
-  std::future<ServingResult> ticket;
-  EXPECT_FALSE(pool.try_submit(batch[0], &ticket));
-  EXPECT_FALSE(ticket.valid()) << "a refused try_submit leaves the ticket";
+  RequestOptions polite;
+  polite.admission = AdmissionMode::kNonBlocking;
+  bool admitted = true;
+  auto probe = pool.submit(request_for(batch[0], polite), &admitted);
+  EXPECT_FALSE(admitted) << "a non-blocking probe of a full queue is refused";
+  ASSERT_TRUE(probe.valid());
+  EXPECT_EQ(probe.get().status, RequestStatus::kRejected);
 
   const ServingStats stats = pool.stats();
   EXPECT_EQ(stats.submitted, 0);
@@ -306,7 +250,8 @@ TEST(ServingPool, RejectPolicyShedsUnderBurst) {
   ServingPool pool(fx.program, EngineKind::kReference, options);
 
   std::vector<std::future<ServingResult>> tickets;
-  for (int i = 0; i < 16; ++i) tickets.push_back(pool.submit(batch[0]));
+  for (int i = 0; i < 16; ++i)
+    tickets.push_back(pool.submit(request_for(batch[0])));
 
   std::int64_t accepted = 0;
   for (auto& ticket : tickets) {
@@ -339,7 +284,8 @@ TEST(ServingPool, ShutdownWithInFlightWorkKeepsEveryPromise) {
   {
     ServingPool pool(fx.program, EngineKind::kReference,
                      ServingPoolOptions{});
-    for (const TensorI& codes : batch) tickets.push_back(pool.submit(codes));
+    for (const TensorI& codes : batch)
+      tickets.push_back(pool.submit(request_for(codes)));
   }  // destructor runs with (likely) queued work
 
   for (std::size_t i = 0; i < tickets.size(); ++i) {
@@ -362,7 +308,7 @@ TEST(ServingPool, BatchDeadlineExpiryDispatchesASingleItem) {
   options.max_wait_ms = 5.0;
   ServingPool pool(fx.program, EngineKind::kReference, options);
 
-  auto ticket = pool.submit(batch[0]);
+  auto ticket = pool.submit(request_for(batch[0]));
   ASSERT_TRUE(ticket.valid());
   const ServingResult result = ticket.get();
   ASSERT_EQ(result.status, RequestStatus::kOk) << result.error;
@@ -386,11 +332,11 @@ TEST(ServingPool, BatchPolicyAccumulatesUpToMaxBatch) {
   options.max_wait_ms = 50.0;  // long: dispatches should fill, not time out
   ServingPool pool(fx.program, EngineKind::kReference, options);
 
-  const auto run = pool.run_batch(batch);
-  EXPECT_EQ(run.ok_count(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i)
-    EXPECT_EQ(run.results[i].result.logits, reference[i].logits)
-        << "image " << i;
+  const auto run = serve_batch(pool, batch);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_EQ(run[i].status, RequestStatus::kOk) << "image " << i;
+    EXPECT_EQ(run[i].result.logits, reference[i].logits) << "image " << i;
+  }
 
   const ServingStats stats = pool.stats();
   EXPECT_EQ(stats.completed, 8);
@@ -418,7 +364,8 @@ TEST(ServingPool, BatchRefillsFromProducersBlockedOnAFullQueue) {
   ServingPool pool(fx.program, EngineKind::kReference, options);
 
   std::vector<std::future<ServingResult>> tickets;
-  for (const TensorI& codes : batch) tickets.push_back(pool.submit(codes));
+  for (const TensorI& codes : batch)
+    tickets.push_back(pool.submit(request_for(codes)));
   for (auto& ticket : tickets) {
     const ServingResult result = ticket.get();
     ASSERT_EQ(result.status, RequestStatus::kOk) << result.error;
@@ -437,7 +384,7 @@ TEST(ServingPool, MalformedRequestFailsOnlyItself) {
   const auto batch = lenet_batch(1, fx.qnet.time_bits);
 
   ServingPool pool(fx.program, EngineKind::kReference, ServingPoolOptions{});
-  auto bad = pool.submit(TensorI(Shape{1, 8, 8}));
+  auto bad = pool.submit(request_for(TensorI(Shape{1, 8, 8})));
   ASSERT_TRUE(bad.valid());
   const ServingResult failed = bad.get();
   EXPECT_EQ(failed.status, RequestStatus::kReplicaFailed);
@@ -448,7 +395,7 @@ TEST(ServingPool, MalformedRequestFailsOnlyItself) {
 
   // The pool stays serviceable after a failed dispatch: a malformed request
   // is the caller's fault and never poisons the replica's health.
-  auto good = pool.submit(batch[0]);
+  auto good = pool.submit(request_for(batch[0]));
   const ServingResult ok = good.get();
   ASSERT_EQ(ok.status, RequestStatus::kOk) << ok.error;
   EXPECT_FALSE(ok.result.logits.empty());
@@ -475,15 +422,6 @@ TEST(ServingPool, InvalidOptionsThrow) {
                  ContractViolation);
   }
   {
-    // Segments that do not cover the program fail the constructor, not the
-    // first request.
-    ServingPoolOptions options;
-    options.segments = compiler::partition_balance_latency(fx.program, 2);
-    options.segments.pop_back();
-    EXPECT_THROW(ServingPool(fx.program, EngineKind::kReference, options),
-                 ContractViolation);
-  }
-  {
     ServingPoolOptions options;
     options.max_retries = -1;
     EXPECT_THROW(ServingPool(fx.program, EngineKind::kReference, options),
@@ -505,72 +443,12 @@ TEST(ServingPool, InvalidOptionsThrow) {
   }
 }
 
-// -------------------------------------------------------- plan_serving
+// ------------------------------------------------------ serving overhead
 
-TEST(PlanServing, EnumeratesSplitsAndPicksThroughputOptimum) {
-  const LeNetFixture fx;
-  const std::size_t n = fx.program.size();
-
-  const auto candidates = compiler::enumerate_serving(fx.program, 6);
-  ASSERT_EQ(candidates.size(), std::min<std::size_t>(6, n));
-  for (const auto& candidate : candidates) {
-    EXPECT_EQ(candidate.replicas, 6 / candidate.stages);
-    EXPECT_LE(candidate.devices(), 6);
-    EXPECT_GT(candidate.bottleneck_cycles, 0);
-    EXPECT_GT(candidate.predicted_images_per_sec, 0.0);
-    ASSERT_FALSE(candidate.segments.empty());
-    EXPECT_EQ(candidate.segments.size(),
-              static_cast<std::size_t>(candidate.stages));
-    EXPECT_EQ(candidate.segments.front().begin, 0u);
-    EXPECT_EQ(candidate.segments.back().end, n);
-  }
-
-  const auto plan = compiler::plan_serving(fx.program, 6);
-  for (const auto& candidate : candidates)
-    EXPECT_GE(plan.predicted_images_per_sec,
-              candidate.predicted_images_per_sec)
-        << candidate.stages << " stages";
-  EXPECT_EQ(
-      candidates[compiler::best_serving_candidate(candidates)].stages,
-      plan.stages);
-  EXPECT_THROW(compiler::best_serving_candidate({}), ContractViolation);
-
-  // A single device leaves no choice.
-  const auto solo = compiler::plan_serving(fx.program, 1);
-  EXPECT_EQ(solo.stages, 1);
-  EXPECT_EQ(solo.replicas, 1);
-
-  // More devices never predict worse throughput.
-  EXPECT_GE(compiler::plan_serving(fx.program, 4).predicted_images_per_sec,
-            compiler::plan_serving(fx.program, 2).predicted_images_per_sec);
-
-  EXPECT_THROW(compiler::plan_serving(fx.program, 0), ContractViolation);
-}
-
-TEST(PlanServing, PlannedConfigurationServesBitIdentically) {
-  // Deploy exactly what the planner chose and cross-check the logits.
-  const LeNetFixture fx;
-  const auto batch = lenet_batch(3, fx.qnet.time_bits);
-  const auto reference =
-      monolithic_reference(fx.program, EngineKind::kCycleAccurate, batch);
-
-  const auto plan = compiler::plan_serving(fx.program, 4);
-  ServingPoolOptions options;
-  options.replicas = plan.replicas;
-  if (plan.stages > 1) options.segments = plan.segments;
-  ServingPool pool(fx.program, EngineKind::kCycleAccurate, options);
-  const auto run = pool.run_batch(batch);
-  EXPECT_EQ(run.ok_count(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i)
-    EXPECT_EQ(run.results[i].result.logits, reference[i].logits)
-        << "image " << i;
-}
-
-TEST(PlanServing, FoldsExpectedRetryCostIntoThroughput) {
-  const LeNetFixture fx;
-
-  // The measured overhead factor: completed images cost one dispatch each;
-  // retries and stalls each burned roughly one extra image of occupancy.
+TEST(ServingOverhead, ExpectedAttemptsPerImageCountsRetriesAndStalls) {
+  // The measured overhead factor the Metrics reply serves: completed images
+  // cost one dispatch each; retries and stalls each burned roughly one
+  // extra image of occupancy.
   EXPECT_DOUBLE_EQ(compiler::expected_attempts_per_image(0, 0, 0), 1.0);
   EXPECT_DOUBLE_EQ(compiler::expected_attempts_per_image(100, 0, 0), 1.0);
   EXPECT_DOUBLE_EQ(compiler::expected_attempts_per_image(90, 8, 2),
@@ -581,45 +459,15 @@ TEST(PlanServing, FoldsExpectedRetryCostIntoThroughput) {
                ContractViolation);
   EXPECT_THROW(compiler::expected_attempts_per_image(1, 0, -1),
                ContractViolation);
-
-  // Doubling the expected attempts halves every candidate's predicted
-  // throughput — and nothing else: the cuts and bottlenecks are unchanged.
-  compiler::PartitionOptions clean;
-  compiler::PartitionOptions flaky;
-  flaky.expected_attempts_per_image = 2.0;
-  const auto base = compiler::enumerate_serving(fx.program, 4, clean);
-  const auto derated = compiler::enumerate_serving(fx.program, 4, flaky);
-  ASSERT_EQ(base.size(), derated.size());
-  for (std::size_t i = 0; i < base.size(); ++i) {
-    EXPECT_EQ(derated[i].stages, base[i].stages);
-    EXPECT_EQ(derated[i].bottleneck_cycles, base[i].bottleneck_cycles);
-    EXPECT_DOUBLE_EQ(derated[i].predicted_images_per_sec,
-                     base[i].predicted_images_per_sec / 2.0);
-  }
-
-  // A factor below 1 would claim images cost less than one dispatch.
-  compiler::PartitionOptions invalid;
-  invalid.expected_attempts_per_image = 0.5;
-  EXPECT_THROW(compiler::enumerate_serving(fx.program, 2, invalid),
-               ContractViolation);
-
-  // End-to-end: fold a measured fault window back into the planner and the
-  // prediction derates accordingly.
-  compiler::PartitionOptions measured;
-  measured.expected_attempts_per_image =
-      compiler::expected_attempts_per_image(90, 8, 2);
-  EXPECT_LT(
-      compiler::plan_serving(fx.program, 4, measured).predicted_images_per_sec,
-      compiler::plan_serving(fx.program, 4, clean).predicted_images_per_sec);
 }
 
 // ------------------------------------------------------ typed request core
 
 TEST(ServingPool, TypedRequestCoreRoutesByModelIdAndCarriesOptions) {
-  // The typed submit(Request) path every wrapper and the wire protocol
-  // funnel through: a matching (or empty) routing key serves normally; a
-  // mismatched key is the misrouted-submission backstop and resolves typed
-  // kRejected without queueing.
+  // The typed submit(Request) path in-process callers and the wire
+  // protocol funnel through: a matching (or empty) routing key serves
+  // normally; a mismatched key is the misrouted-submission backstop and
+  // resolves typed kRejected without queueing.
   const LeNetFixture fx;
   const auto batch = lenet_batch(2, fx.qnet.time_bits);
   const auto reference =

@@ -133,8 +133,8 @@ echo "==== RTL emission smoke passed ===="
 
 # 4. Sanitizer pass (ASan + UBSan): builds only the threaded executor tests
 #    plus the re-lowering suite and runs them instrumented, validating the
-#    pipeline executor's bounded queues / worker threads, the streaming
-#    pool, the serving pool's admission queue, the serving daemon's socket /
+#    pipeline executor's bounded queues / worker threads, the serving pool's
+#    admission queue and replica dispatchers, the serving daemon's socket /
 #    registry / connection threads, the fault-injection chaos suite and the
 #    per-device re-lowering path for memory and UB errors without paying for
 #    a full sanitized suite run.

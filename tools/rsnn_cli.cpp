@@ -5,25 +5,20 @@
 //                    [--weight-bits 3] [--per-channel 1]
 //   rsnn_cli run     --qsnn lenet.qsnn [--units 2] [--mhz 100] [--samples 200]
 //                    [--engine cycle_accurate|stepped|behavioral|reference]
-//                    [--stream <workers>]
 //                    [--pipeline <stages> [--partition balance_latency|fit_resources]
 //                     [--relower 1]]
-//                    [--serve 1 ...serving flags...]
 //   rsnn_cli emit-rtl --qsnn lenet.qsnn --out rtl_out [--units 2]
 //                    [--pipeline <stages> [--partition ...]]
 //   rsnn_cli info    --qsnn lenet.qsnn
 //
 // Every command's options live in one declarative flag table
 // (common/flags.hpp): the table drives parsing, range checks, and the
-// usage text below, and the serving flags are the same serve::
-// serving_pool_flags() table the rsnn_serve daemon uses — the two binaries
-// cannot drift apart.
+// usage text below. Serving lives in the rsnn_serve daemon and its
+// rsnn_client.
 //
 // Datasets: real MNIST from ./data/mnist when present, SynthDigits stand-in
 // otherwise (models with 28x28/32x32 single-channel inputs only).
-#include <csignal>
 #include <cstdio>
-#include <future>
 #include <string>
 #include <vector>
 
@@ -31,10 +26,7 @@
 #include "compiler/compile.hpp"
 #include "compiler/partition.hpp"
 #include "engine/engine.hpp"
-#include "engine/fault.hpp"
 #include "engine/pipeline.hpp"
-#include "engine/serving_pool.hpp"
-#include "engine/stream.hpp"
 #include "eval_data.hpp"
 #include "hw/accelerator.hpp"
 #include "hw/power_model.hpp"
@@ -47,7 +39,6 @@
 #include "quant/qserialize.hpp"
 #include "quant/quantize.hpp"
 #include "rtl/generate.hpp"
-#include "serve/serve_flags.hpp"
 
 namespace {
 
@@ -86,7 +77,7 @@ std::vector<FlagSpec> convert_flags() {
 }
 
 std::vector<FlagSpec> run_flags() {
-  std::vector<FlagSpec> table = {
+  return {
       text_flag("qsnn", "lenet5.qsnn", "quantized model to execute", "PATH"),
       count_flag("units", "2", "convolution units in the derived design", 1),
       number_flag("mhz", "100", "design clock", 1e-3),
@@ -95,24 +86,13 @@ std::vector<FlagSpec> run_flags() {
                 "cycle_accurate|stepped|behavioral|reference (analytic = "
                 "cycle_accurate)",
                 "NAME"),
-      count_flag("stream", "-1",
-                 "streaming-report workers (0 = one per hardware thread)",
-                 -1),
-      count_flag("threads", "1",
-                 "cores per batched fast-path run (0 = all; trades against "
-                 "--replicas)"),
+      count_flag("threads", "1", "cores per batched fast-path run (0 = all)"),
       count_flag("pipeline", "1", "pipeline-parallel stages", 1),
       text_flag("partition", "balance_latency",
                 "balance_latency|fit_resources", "NAME"),
       toggle_flag("relower", "0",
                   "re-compile each stage against its own device"),
-      toggle_flag("serve", "0", "serving-pool report (flags below)"),
-      count_flag("devices", "1",
-                 "plan the stages x replicas split for this device budget",
-                 1),
   };
-  table = flags::merge_flags(std::move(table), serve::serving_pool_flags());
-  return flags::merge_flags(std::move(table), serve::serving_request_flags());
 }
 
 std::vector<FlagSpec> emit_rtl_flags() {
@@ -144,13 +124,8 @@ bool parse_command_flags(FlagSet* flag_set, int argc, char** argv) {
   return true;
 }
 
-/// SIGINT flips this flag; the serve loop stops admitting, drains what was
-/// already admitted, prints final stats and exits 0.
-volatile std::sig_atomic_t g_interrupted = 0;
-void handle_sigint(int) { g_interrupted = 1; }
-
-/// Per-stage table shared by the pipeline and serve reports: op range,
-/// predicted cycles, weight placement and the per-device resource estimate.
+/// The pipeline report's per-stage table: op range, predicted cycles,
+/// weight placement and the per-device resource estimate.
 void print_stage_table(const ir::LayerProgram& program,
                        const std::vector<ir::ProgramSegment>& segments,
                        bool relower) {
@@ -253,151 +228,6 @@ int cmd_convert(int argc, char** argv) {
   return 0;
 }
 
-/// The serving-pool report behind `run --serve 1`: configure the pool from
-/// the shared serving flag table, feed the eval set through the typed
-/// submit(Request) path, drain (Ctrl-C drains early), and report outcomes.
-int run_serve_report(const FlagSet& args, const compiler::CompiledDesign& design,
-                     const quant::QuantizedNetwork& qnet,
-                     engine::EngineKind kind, const data::Dataset& eval) {
-  engine::ServingPoolOptions pool_options;
-  const std::string pool_error =
-      serve::pool_options_from_flags(args, &pool_options);
-  if (!pool_error.empty()) {
-    std::fprintf(stderr, "error: %s\n", pool_error.c_str());
-    return 1;
-  }
-  const bool relower = args.toggle("relower");
-  const double deadline_ms = args.number("deadline-ms");
-  const long long bulk_every = args.count("bulk-every");
-
-  int stages = 1;
-  if (args.is_set("devices")) {
-    // Enumerate the stages x replicas splits of the device budget with the
-    // per-device cost model and deploy the predicted-throughput winner.
-    const int budget = static_cast<int>(args.count("devices"));
-    const auto candidates = compiler::enumerate_serving(design.program, budget);
-    const auto& plan = candidates[compiler::best_serving_candidate(candidates)];
-    std::printf("\nserving plan for %d device(s):\n", budget);
-    for (const auto& candidate : candidates)
-      std::printf(
-          "  %d stage(s) x %d replica(s): bottleneck ~%lld cycles -> "
-          "%.1f images/sec predicted%s\n",
-          candidate.stages, candidate.replicas,
-          static_cast<long long>(candidate.bottleneck_cycles),
-          candidate.predicted_images_per_sec,
-          candidate.stages == plan.stages ? "  <- chosen" : "");
-    stages = plan.stages;
-    pool_options.replicas = plan.replicas;
-    if (plan.stages > 1) pool_options.segments = plan.segments;
-  } else {
-    const std::string partition_name_arg = args.text("partition");
-    const std::string request_error = compiler::validate_pipeline_request(
-        design.program, std::to_string(args.count("pipeline")),
-        partition_name_arg, &stages);
-    if (!request_error.empty()) {
-      std::fprintf(stderr, "error: %s\n", request_error.c_str());
-      return 1;
-    }
-    if (stages > 1) {
-      const compiler::PartitionStrategy strategy =
-          compiler::parse_partition(partition_name_arg);
-      pool_options.segments =
-          relower ? compiler::partition_program(design.program, strategy,
-                                                stages,
-                                                compiler::PartitionOptions{})
-                  : compiler::partition_program(design.program, strategy,
-                                                stages);
-    }
-  }
-
-  engine::ServingPool pool(design.program, kind, pool_options);
-  std::printf(
-      "\nserving: %d replica(s) of %s on %d device(s), %s admission "
-      "(queue %zu)\n",
-      pool.replicas(), pool.replica_shape().c_str(), pool.devices(),
-      engine::policy_name(pool.options().policy),
-      pool.options().queue_capacity);
-  if (!pool_options.fault_plan.empty())
-    std::printf("  fault plan : %s\n",
-                engine::describe_fault_plan(pool_options.fault_plan).c_str());
-  if (!pool_options.segments.empty())
-    print_stage_table(design.program, pool_options.segments,
-                      pool_options.segments.front().is_relowered());
-
-  std::vector<TensorI> request_codes;
-  request_codes.reserve(eval.size());
-  for (const TensorF& image : eval.images)
-    request_codes.push_back(quant::encode_activations(image, qnet.time_bits));
-
-  // Ctrl-C drains gracefully: stop admitting, complete what was admitted,
-  // print final stats, exit 0.
-  g_interrupted = 0;
-  std::signal(SIGINT, handle_sigint);
-  std::vector<std::future<engine::ServingResult>> tickets;
-  tickets.reserve(request_codes.size());
-  for (std::size_t i = 0; i < request_codes.size(); ++i) {
-    if (g_interrupted) break;
-    engine::Request request;
-    request.codes = std::move(request_codes[i]);
-    request.options.deadline_ms = deadline_ms;
-    if (bulk_every > 0 &&
-        i % static_cast<std::size_t>(bulk_every) ==
-            static_cast<std::size_t>(bulk_every) - 1)
-      request.options.priority = engine::PriorityClass::kBulk;
-    tickets.push_back(pool.submit(std::move(request)));
-  }
-  const bool interrupted = g_interrupted != 0;
-  if (interrupted)
-    std::printf("\ninterrupted: draining %zu admitted request(s)...\n",
-                tickets.size());
-  pool.shutdown(/*drain=*/true);
-
-  long long by_status[5] = {0, 0, 0, 0, 0};
-  for (auto& ticket : tickets) {
-    const engine::ServingResult result = ticket.get();
-    ++by_status[static_cast<int>(result.status)];
-  }
-  std::signal(SIGINT, SIG_DFL);
-
-  const engine::ServingStats stats = pool.stats();
-  std::printf("  outcomes   :");
-  for (const engine::RequestStatus status :
-       {engine::RequestStatus::kOk, engine::RequestStatus::kRejected,
-        engine::RequestStatus::kDeadlineExceeded,
-        engine::RequestStatus::kReplicaFailed,
-        engine::RequestStatus::kCancelled})
-    if (by_status[static_cast<int>(status)] > 0)
-      std::printf(" %lld %s", by_status[static_cast<int>(status)],
-                  engine::status_name(status));
-  std::printf(" (of %zu submitted)\n", tickets.size());
-  std::printf(
-      "  %lld completed in %.1f ms -> %.1f images/sec wall "
-      "(%.1f modeled at %.0f MHz), p50 %.2f ms, p99 %.2f ms, "
-      "%.1f images/dispatch\n",
-      static_cast<long long>(stats.completed), stats.wall_ms,
-      stats.wall_images_per_sec, stats.modeled_images_per_sec,
-      design.config.clock_mhz, stats.p50_latency_ms, stats.p99_latency_ms,
-      stats.mean_batch);
-  if (stats.retries + stats.stalls + stats.rebuilds + stats.shed_bulk > 0)
-    std::printf(
-        "  resilience : %lld retries, %lld replica failure(s), "
-        "%lld stall(s), %lld rebuild(s), %lld bulk shed\n",
-        static_cast<long long>(stats.retries),
-        static_cast<long long>(stats.replica_failures),
-        static_cast<long long>(stats.stalls),
-        static_cast<long long>(stats.rebuilds),
-        static_cast<long long>(stats.shed_bulk));
-  std::printf("  goodput    : latency %.1f%%, bulk %.1f%% (fleet %d/%d)\n",
-              stats.per_class[0].goodput * 100.0,
-              stats.per_class[1].goodput * 100.0, stats.active_replicas,
-              pool.replicas());
-  for (std::size_t r = 0; r < stats.per_replica.size(); ++r)
-    std::printf("  replica %zu: %lld image(s), %s\n", r,
-                static_cast<long long>(stats.per_replica[r]),
-                engine::health_name(stats.replica_health[r]));
-  return 0;
-}
-
 int cmd_run(int argc, char** argv) {
   FlagSet args(run_flags());
   if (!parse_command_flags(&args, argc, argv)) return 1;
@@ -407,9 +237,8 @@ int cmd_run(int argc, char** argv) {
   options.num_conv_units = static_cast<int>(args.count("units"));
   options.clock_mhz = args.number("mhz");
   // Host threads per batched fast-path run (0 = hardware concurrency). Flows
-  // through the lowered program's config, so `--stream` workers and every
-  // `--serve` replica inherit it: `--threads` trades cores-per-replica
-  // against `--replicas` on one host.
+  // through the lowered program's config, so every engine built over the
+  // program — the report's engine and each pipeline stage — inherits it.
   options.fast_path_threads = static_cast<int>(args.count("threads"));
   const auto design = compiler::compile(qnet, options);
   std::printf("%s", compiler::describe(design, qnet).c_str());
@@ -437,28 +266,6 @@ int cmd_run(int argc, char** argv) {
               100.0 * static_cast<double>(correct) /
                   static_cast<double>(eval.size()));
   std::printf("%s", hw::run_summary(design.config, run, resources, power).c_str());
-
-  // Optional streaming-throughput report: feed the whole eval set through a
-  // persistent worker pool with the selected engine.
-  const int stream_workers = static_cast<int>(args.count("stream"));
-  if (stream_workers >= 0) {
-    engine::StreamingExecutor stream(design.program, kind, stream_workers);
-    stream.run_stream_images(eval.images);
-    const engine::StreamStats& stats = stream.last_stats();
-    std::printf(
-        "streaming: %lld images on %d worker(s) in %.1f ms -> %.1f "
-        "images/sec (simulator wall clock)\n",
-        static_cast<long long>(stats.images), stats.workers, stats.wall_ms,
-        stats.images_per_sec);
-  }
-
-  // Serving-pool report: N replicas (each monolithic or a K-stage pipeline)
-  // behind one bounded admission queue. `--devices D` plans the stages x
-  // replicas split automatically (compiler::plan_serving); otherwise
-  // `--replicas R --pipeline K` pins the shape. Results stay bit-identical
-  // to monolithic execution for every shape and policy.
-  if (args.toggle("serve"))
-    return run_serve_report(args, design, qnet, kind, eval);
 
   // Optional pipeline-parallel report: partition the program into stages
   // (one simulated accelerator per stage) and stream the eval set through
@@ -586,10 +393,7 @@ void usage() {
       {"train", "train a zoo model (MNIST or SynthDigits)", train_flags()},
       {"convert", "quantize a checkpoint into a .qsnn deployment artifact",
        convert_flags()},
-      {"run",
-       "execute a .qsnn model (reports; --serve 1 runs the serving pool, "
-       "Ctrl-C drains)",
-       run_flags()},
+      {"run", "execute a .qsnn model and report", run_flags()},
       {"emit-rtl", "generate synthesizable RTL", emit_rtl_flags()},
       {"info", "describe a .qsnn file", info_flags()},
   };

@@ -3,13 +3,14 @@
 //
 //   rsnn_serve [--port 7433] [--preload lenet=lenet.qsnn,vgg=vgg.qsnn]
 //              [--engine cycle_accurate] [--units 2] [--mhz 100] [--threads 1]
-//              [...the same serving-pool flags as `rsnn_cli run --serve`...]
+//              [--replicas 1] [--policy fifo|batch|reject] [--fault PLAN]
+//              [...the rest of the serving-pool flag table...]
 //
-// Every loaded model gets its own engine::ServingPool built from the shared
-// serving flag table, so a pool tuned with `rsnn_cli run --serve` deploys
-// under the daemon with the identical options. Clients load further models,
-// hot-swap running ones, and push inference with rsnn_client (or anything
-// speaking the frame format).
+// The one serving front end. Every loaded model gets its own
+// engine::ServingPool built from the shared serving flag table
+// (serve/serve_flags.hpp): one engine and one dispatcher thread per replica.
+// Clients load further models, hot-swap running ones, and push inference
+// with rsnn_client (or anything speaking the frame format).
 //
 // Shutdown: a Shutdown frame (rsnn_client shutdown [--drain 0]) or SIGINT.
 // Both stop the accept loop first, then drain admitted work (SIGINT and
