@@ -5,8 +5,8 @@
 // reproducible test. A FaultPlan describes *when* faults fire — on a
 // replica's Nth execution attempt, or per-attempt with a seeded
 // probability — and a FaultInjector arms the plan across the fleet: each
-// engine::ServingPool replica consults the injector before running an
-// image.
+// engine::ServingPool replica consults the injector once per image before
+// it runs a dispatch.
 //
 // Three injectable faults:
 //   * kError — the attempt throws ReplicaFaultError (a transient failure:

@@ -360,9 +360,8 @@ std::future<ServingResult> ServingPool::submit(Request&& request,
   return ticket;  // always valid: shed requests resolve immediately
 }
 
-void ServingPool::acquire_work(std::size_t replica_index,
-                               std::vector<Queued>& work) {
-  work.clear();
+std::vector<ServingPool::Queued> ServingPool::acquire_work(
+    std::size_t replica_index) {
   std::unique_lock<std::mutex> lock(mutex_);
 
   // Dispatch order: latency class before bulk, earliest deadline first
@@ -432,6 +431,7 @@ void ServingPool::acquire_work(std::size_t replica_index,
     return picked;
   };
 
+  std::vector<Queued> work;
   for (;;) {
     const auto now = Clock::now();
     const std::size_t best = pick_best(now);
@@ -439,7 +439,7 @@ void ServingPool::acquire_work(std::size_t replica_index,
       work.push_back(pop_at(best));
       break;
     }
-    if (closed_ && queue_.empty()) return;
+    if (closed_ && queue_.empty()) return {};
     const auto wake = next_wake(now);
     if (wake == Clock::time_point::max())
       cv_not_empty_.wait(lock);
@@ -474,6 +474,7 @@ void ServingPool::acquire_work(std::size_t replica_index,
       cv_not_empty_.wait_until(lock, std::min(window, next_wake(now)));
     }
   }
+  return work;
 }
 
 bool ServingPool::record_dispatch_health(std::size_t replica_index,
@@ -561,27 +562,24 @@ void ServingPool::retry_or_fail(Queued&& request, const std::string& error,
 void ServingPool::run_dispatch(std::size_t replica_index,
                                const std::vector<TensorI>& codes,
                                std::vector<hw::AccelRunResult>& results) {
-  Engine& engine = *engines_[replica_index];
-  if (injector_ == nullptr) {
-    engine.run_codes_batched_into(codes.data(), codes.size(), results.data());
-    return;
-  }
-  // One attempt per image, so a fault plan replays against individual
-  // inference attempts; the first fault fails the whole dispatch.
-  for (std::size_t i = 0; i < codes.size(); ++i) {
-    injector_->before_attempt(static_cast<int>(replica_index));
-    engine.run_codes_batched_into(&codes[i], 1, &results[i]);
-  }
+  // One injector attempt per image, so a fault plan replays against
+  // individual inference attempts; the first fault fails the whole
+  // dispatch before any image is computed.
+  if (injector_)
+    for (std::size_t i = 0; i < codes.size(); ++i)
+      injector_->before_attempt(static_cast<int>(replica_index));
+  engines_[replica_index]->run_codes_batched_into(codes.data(), codes.size(),
+                                                   results.data());
 }
 
 void ServingPool::replica_main(std::size_t replica_index) {
-  // Dispatch buffers live as long as the replica, so a warm dispatch
-  // reuses their storage.
-  std::vector<Queued> work;
+  // The codes and results arrays live as long as the replica. Each kOk
+  // result is moved out to its caller, so a warm dispatch reuses only the
+  // arrays, not the result objects' storage.
   std::vector<TensorI> codes;
   std::vector<hw::AccelRunResult> results;
   for (;;) {
-    acquire_work(replica_index, work);
+    std::vector<Queued> work = acquire_work(replica_index);
     if (work.empty()) return;  // closed and drained
 
     std::int64_t dispatch_seq = 0;

@@ -51,10 +51,10 @@
 // replica quarantines, queued and future work fails fast with
 // kReplicaFailed instead of waiting forever.
 //
-// Fault injection: with a fault plan armed, a dispatch runs its requests
-// one image at a time and consults the injector before each, so a plan
-// replays against individual inference attempts; without one, a dispatch
-// is one batched engine call.
+// Dispatch: each dispatch is one batched engine call. With a fault plan
+// armed, the replica first consults the injector once per request, so a
+// plan replays against individual inference attempts; the first fault
+// fails the whole dispatch before any image is computed.
 //
 // Inference is pure — a retried request recomputes exactly the same logits
 // — so retry-elsewhere is always safe. Results delivered with status kOk
@@ -329,14 +329,13 @@ class ServingPool {
   };
 
   void replica_main(std::size_t replica_index);
-  /// Fill `work` with the next dispatch per the admission policy (EDF
-  /// within class, latency class first, honoring backoff gates and
-  /// retry-elsewhere); fails expired requests fast. Leaves `work` empty once
-  /// the pool is closed and drained.
-  void acquire_work(std::size_t replica_index, std::vector<Queued>& work);
-  /// Run one dispatch on the replica's engine: one batched call, or — with
-  /// a fault plan armed — one injector attempt and one-image call per
-  /// request.
+  /// Pop the next dispatch per the admission policy (EDF within class,
+  /// latency class first, honoring backoff gates and retry-elsewhere);
+  /// fails expired requests fast. Empty once the pool is closed and
+  /// drained.
+  std::vector<Queued> acquire_work(std::size_t replica_index);
+  /// Run one dispatch on the replica's engine as one batched call, after
+  /// one fault-injector attempt per request when a fault plan is armed.
   void run_dispatch(std::size_t replica_index,
                     const std::vector<TensorI>& codes,
                     std::vector<hw::AccelRunResult>& results);

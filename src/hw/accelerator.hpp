@@ -156,7 +156,8 @@ class Accelerator {
   /// accelerator executes with — resolved lazily through the process-wide
   /// shared_fast_prepared() cache, so every Accelerator (and therefore every
   /// ServingPool replica) lowered from the same network holds the SAME
-  /// immutable pack: pointer-equal across instances, built once. Exposed for observability and the sharing tests.
+  /// immutable pack: pointer-equal across instances, built once. Exposed
+  /// for observability and the sharing tests.
   std::shared_ptr<const FastPrepared> fast_prepared_shared() const;
 
  private:

@@ -72,9 +72,10 @@ FastPrepared prepare_fast_path(const ir::LayerProgram& program);
 /// and therefore every ServingPool replica — executing the same lowered
 /// program receives one shared immutable pack instead of building a private
 /// copy (replicas of a VGG-scale model would otherwise each hold megabytes
-/// of identical repacked weights and pay the repack on spin-up). Keyed by program identity: the borrowed QuantizedNetwork, the
-/// op range and each op's parameters and planned layout. Entries are weak;
-/// a pack dies with its last user and is rebuilt on the next request.
+/// of identical repacked weights and pay the repack on spin-up). Keyed by
+/// program identity: the borrowed QuantizedNetwork, the op range and each
+/// op's parameters and planned layout. Entries are weak; a pack dies with
+/// its last user and is rebuilt on the next request.
 std::shared_ptr<const FastPrepared> shared_fast_prepared(
     const ir::LayerProgram& program);
 

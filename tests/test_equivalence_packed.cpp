@@ -179,7 +179,9 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(PackedEquivalence, ServingReplicasMatchSequentialRuns) {
   // Two cycle_accurate serving replicas (pre-allocated engine state, reused
   // across dispatches) must be bit-identical to one-shot execution, and a
-  // second round through the same warm pool must agree with the first.
+  // second round through the same warm pool must agree with the first. The
+  // batch policy groups the burst, so each multi-request dispatch is one
+  // batched engine call into the replica's reused results array.
   Rng rng(11);
   nn::Network net = rsnn::testing::small_random_net(rng);
   const quant::QuantizedNetwork qnet =
@@ -199,6 +201,9 @@ TEST(PackedEquivalence, ServingReplicasMatchSequentialRuns) {
 
   engine::ServingPoolOptions options;
   options.replicas = 2;
+  options.policy = engine::AdmissionPolicy::kBatch;
+  options.max_batch = 8;
+  options.max_wait_ms = 50.0;  // long: dispatches should fill, not time out
   engine::ServingPool pool(program, engine::EngineKind::kCycleAccurate,
                            options);
   for (int round = 0; round < 2; ++round) {
@@ -221,8 +226,9 @@ TEST(PackedEquivalence, ServingReplicasMatchSequentialRuns) {
       EXPECT_EQ(run.traffic_total.dram_bits, ref.traffic_total.dram_bits);
     }
   }
-  EXPECT_EQ(pool.stats().completed,
-            2 * static_cast<std::int64_t>(codes.size()));
+  const engine::ServingStats stats = pool.stats();
+  EXPECT_EQ(stats.completed, 2 * static_cast<std::int64_t>(codes.size()));
+  EXPECT_GT(stats.mean_batch, 1.0) << "the burst should have grouped";
 }
 
 // --------------------------------------------- engine parsing and sweeps
