@@ -378,22 +378,6 @@ int run_json_mode(const std::string& path, int samples, bool tiny,
       results.push_back({"batch32_cycle_accurate_lenet_t8",
                          ns / static_cast<double>(batch32.size()),
                          batch_samples});
-
-      // The same 32-image batch through the intra-op parallel driver
-      // (fast_path.threads = 0 — one slice per hardware thread, all slices
-      // streaming the shared prepared weights). Bit-identical to the entry
-      // above; the ratio between the two is the multi-core speedup.
-      hw::AcceleratorConfig pcfg = hw::lenet_reference_config();
-      pcfg.fast_path.threads = 0;
-      hw::Accelerator paccel(pcfg, qnet);
-      hw::Accelerator::WorkerState pstate = paccel.make_worker_state();
-      const double pns = time_ns_per_call(batch_samples, [&] {
-        paccel.run_codes_batched_into(pstate, batch32.data(), batch32.size(),
-                                      out.data());
-      });
-      results.push_back({"parallel_batch32_cycle_accurate_lenet_t8",
-                         pns / static_cast<double>(batch32.size()),
-                         batch_samples});
     }
 
     // The other two engines over the same lowered program.
@@ -462,34 +446,6 @@ int run_json_mode(const std::string& path, int samples, bool tiny,
     r.samples = static_cast<int>(stats.images);
     r.images_per_sec = stats.images_per_sec;
     results.push_back(r);
-
-    // VGG-11 through the monolithic accelerator's parallel batched fast
-    // path: 8 distinct images, one slice per hardware thread, all slices
-    // streaming the same DRAM-placed prepared weights. The PR 9 headline —
-    // compare against pipeline4stage_relowered_vgg11 images/sec.
-    {
-      hw::AcceleratorConfig pcfg = hw::vgg11_table3_config();
-      pcfg.fast_path.threads = 0;
-      hw::Accelerator paccel(pcfg, qnet);
-      Rng brng(13);
-      std::vector<TensorI> batch8;
-      for (int i = 0; i < 8; ++i)
-        batch8.push_back(quant::encode_activations(
-            random_image(Shape{3, 32, 32}, brng), qnet.time_bits));
-      hw::Accelerator::WorkerState pstate = paccel.make_worker_state();
-      std::vector<hw::AccelRunResult> out(batch8.size());
-      const int vgg_samples = std::max(1, samples / 16);
-      const double ns = time_ns_per_call(vgg_samples, [&] {
-        paccel.run_codes_batched_into(pstate, batch8.data(), batch8.size(),
-                                      out.data());
-      });
-      BenchResult pr;
-      pr.name = "parallel_batch8_vgg11";
-      pr.ns_per_inference = ns / static_cast<double>(batch8.size());
-      pr.samples = vgg_samples;
-      pr.images_per_sec = 1e9 / pr.ns_per_inference;
-      results.push_back(pr);
-    }
   }
 
   // The small network at T=4 (historic tracking point), plus a small

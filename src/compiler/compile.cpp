@@ -29,7 +29,6 @@ CompiledDesign compile(const quant::QuantizedNetwork& qnet,
   cfg.num_conv_units = options.num_conv_units;
   cfg.linear.lanes = options.linear_lanes;
   cfg.memory = options.memory;
-  cfg.fast_path.threads = options.fast_path_threads;
 
   // Scan the network for unit geometry requirements.
   const ir::GeometryRequirements req = ir::scan_geometry(qnet);

@@ -34,11 +34,6 @@ struct CompileOptions {
   /// hw/accumulator_sizing.hpp).
   bool size_accumulators = false;
   hw::MemoryConfig memory;
-  /// Host threads for the simulator's batched fast path (see
-  /// hw::FastPathOptions::threads): 1 = sequential, 0 = hardware
-  /// concurrency. A simulation-speed knob only — it never changes the
-  /// derived design or what the simulator counts.
-  int fast_path_threads = 1;
 };
 
 /// A derived design instance plus the program lowered onto it. The program

@@ -5,19 +5,21 @@
 // reproducible test. A FaultPlan describes *when* faults fire — on a
 // replica's Nth execution attempt, or per-attempt with a seeded
 // probability — and a FaultInjector arms the plan across the fleet: each
-// engine::ServingPool replica consults the injector once per image before
-// it runs a dispatch.
+// engine::ServingPool replica consults the injector once per request of a
+// dispatch, before the dispatch's one batched engine call.
 //
 // Three injectable faults:
 //   * kError — the attempt throws ReplicaFaultError (a transient failure:
 //     a dropped link packet, a flipped DRAM word caught by ECC). The
-//     replica survives; the pool retries the work elsewhere.
+//     replica survives; only the request whose attempt it was is retried
+//     elsewhere, and the rest of the dispatch still runs.
 //   * kStall — the attempt sleeps for `stall_ms` before executing (a
 //     clock-domain hiccup, a hot DRAM bank). Work completes late; the pool
 //     detects the stall from the dispatch duration.
 //   * kKill  — the replica dies permanently: this and every later attempt
 //     throws ReplicaDeadError until revive() (modelling a rebuilt replica —
-//     a re-flashed bitstream) clears the dead flag.
+//     a re-flashed bitstream) clears the dead flag. The whole dispatch
+//     fails and every request of it is retried.
 //
 // Determinism: the per-attempt ordinal is tracked per replica, and
 // probabilistic faults draw from a per-replica Rng seeded with

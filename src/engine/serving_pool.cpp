@@ -75,6 +75,25 @@ std::chrono::steady_clock::duration ms_duration(double ms) {
       std::chrono::duration<double, std::milli>(ms));
 }
 
+/// Why `codes` cannot be the input of a program whose first op takes
+/// `shape` at `time_bits`; empty when they can. Checked at admission, so a
+/// malformed request never reaches an engine or fails the batch it would
+/// have joined.
+std::string malformed_codes(const TensorI& codes, const Shape& shape,
+                            int time_bits) {
+  if (codes.shape() != shape)
+    return "input shape " + codes.shape().to_string() + " != expected " +
+           shape.to_string();
+  const std::int64_t limit = std::int64_t{1} << time_bits;
+  const std::int32_t* data = codes.data();
+  for (std::int64_t i = 0; i < codes.numel(); ++i)
+    if (data[i] < 0 || data[i] >= limit)
+      return "input code " + std::to_string(data[i]) + " at index " +
+             std::to_string(i) + " outside [0, " + std::to_string(limit) +
+             ") for T=" + std::to_string(time_bits);
+  return {};
+}
+
 /// Ready future carrying a shed outcome — submit() never returns an
 /// invalid future.
 std::future<ServingResult> ready_outcome(RequestStatus status,
@@ -256,8 +275,11 @@ void ServingPool::flush_queue(RequestStatus status,
 bool ServingPool::admit(TensorI&& codes, const RequestOptions& request,
                         std::future<ServingResult>* ticket, bool blocking,
                         bool allow_evict) {
-  RSNN_REQUIRE(request.deadline_ms >= 0.0,
-               "request deadline must be >= 0, got " << request.deadline_ms);
+  RSNN_REQUIRE(request.deadline_ms >= 0.0 &&
+                   request.deadline_ms <= kMaxDeadlineMs,
+               "request deadline must be in [0, " << kMaxDeadlineMs
+                                                  << "] ms, got "
+                                                  << request.deadline_ms);
   std::unique_lock<std::mutex> lock(mutex_);
   ClassStats& pc = stats_.per_class[class_index(request.priority)];
   ++pc.submitted;
@@ -332,21 +354,24 @@ bool ServingPool::admit(TensorI&& codes, const RequestOptions& request,
 
 std::future<ServingResult> ServingPool::submit(Request&& request,
                                                bool* admitted) {
-  // Routing backstop: a request explicitly addressed to a different model
-  // never queues here. The registry routes before this check; it exists so
-  // a misrouted direct submission resolves typed instead of computing the
-  // wrong model's logits.
-  if (request.model_id != options_.model_id && !request.model_id.empty()) {
+  // A request addressed to a different model, or whose codes this program
+  // cannot take, never queues here. The registry routes before the model
+  // check; it exists so a misrouted direct submission resolves typed instead
+  // of computing the wrong model's logits.
+  const std::string refusal =
+      request.model_id != options_.model_id && !request.model_id.empty()
+          ? "unknown model '" + request.model_id + "' (this pool serves '" +
+                options_.model_id + "')"
+          : malformed_codes(request.codes, program_.op(0).in_shape,
+                            program_.time_bits());
+  if (!refusal.empty()) {
     if (admitted != nullptr) *admitted = false;
     const std::lock_guard<std::mutex> lock(mutex_);
     ClassStats& pc = stats_.per_class[class_index(request.options.priority)];
     ++pc.submitted;
     ++pc.rejected;
     ++stats_.rejected;
-    return ready_outcome(RequestStatus::kRejected,
-                         "unknown model '" + request.model_id +
-                             "' (this pool serves '" + options_.model_id +
-                             "')");
+    return ready_outcome(RequestStatus::kRejected, refusal);
   }
   const bool blocking =
       request.options.admission == AdmissionMode::kBlocking &&
@@ -478,13 +503,12 @@ std::vector<ServingPool::Queued> ServingPool::acquire_work(
 }
 
 bool ServingPool::record_dispatch_health(std::size_t replica_index,
-                                         bool success, bool replica_fault,
-                                         bool stalled, bool dead) {
+                                         bool fault, bool stalled, bool dead) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (replica_fault) {
+  if (fault) {
     ++consecutive_failures_[replica_index];
     ++stats_.replica_failures;
-  } else if (success) {
+  } else {
     consecutive_failures_[replica_index] = 0;
   }
   if (stalled) {
@@ -559,25 +583,13 @@ void ServingPool::retry_or_fail(Queued&& request, const std::string& error,
   cv_not_empty_.notify_all();
 }
 
-void ServingPool::run_dispatch(std::size_t replica_index,
-                               const std::vector<TensorI>& codes,
-                               std::vector<hw::AccelRunResult>& results) {
-  // One injector attempt per image, so a fault plan replays against
-  // individual inference attempts; the first fault fails the whole
-  // dispatch before any image is computed.
-  if (injector_)
-    for (std::size_t i = 0; i < codes.size(); ++i)
-      injector_->before_attempt(static_cast<int>(replica_index));
-  engines_[replica_index]->run_codes_batched_into(codes.data(), codes.size(),
-                                                   results.data());
-}
-
 void ServingPool::replica_main(std::size_t replica_index) {
-  // The codes and results arrays live as long as the replica. Each kOk
-  // result is moved out to its caller, so a warm dispatch reuses only the
-  // arrays, not the result objects' storage.
+  // The codes, results and fault arrays live as long as the replica. Each
+  // kOk result is moved out to its caller, so a warm dispatch reuses only
+  // the arrays, not the result objects' storage.
   std::vector<TensorI> codes;
   std::vector<hw::AccelRunResult> results;
+  std::vector<char> faulted;  // faulted[i]: request i's injected attempt threw
   for (;;) {
     std::vector<Queued> work = acquire_work(replica_index);
     if (work.empty()) return;  // closed and drained
@@ -590,24 +602,36 @@ void ServingPool::replica_main(std::size_t replica_index) {
       dispatched_requests_ += static_cast<std::int64_t>(work.size());
     }
 
-    // The codes move into the dispatch; a failed dispatch moves them back
-    // so the request re-queues with its tensor for retry on another replica.
-    for (Queued& request : work) codes.push_back(std::move(request.codes));
-    results.resize(work.size());
-
-    bool failed = false, bad_request = false, dead = false;
+    faulted.assign(work.size(), 0);
+    bool failed = false, dead = false;
     std::string error_text;
     const auto begin = Clock::now();
     try {
-      run_dispatch(replica_index, codes, results);
+      // With a fault plan armed, each request first spends one injector
+      // attempt. A transient fault costs only its own request that attempt;
+      // a kill throws out of the whole dispatch, because the replica is dead.
+      if (injector_) {
+        for (std::size_t i = 0; i < work.size(); ++i) {
+          try {
+            injector_->before_attempt(static_cast<int>(replica_index));
+          } catch (const ReplicaDeadError&) {
+            throw;
+          } catch (const ReplicaFaultError& e) {
+            faulted[i] = 1;
+            error_text = e.what();
+          }
+        }
+      }
+      // The other requests' codes move into one batched engine call; a
+      // failed call moves them back, so the requests re-queue with them.
+      for (std::size_t i = 0; i < work.size(); ++i)
+        if (!faulted[i]) codes.push_back(std::move(work[i].codes));
+      results.resize(codes.size());
+      if (!codes.empty())
+        engines_[replica_index]->run_codes_batched_into(
+            codes.data(), codes.size(), results.data());
     } catch (const ReplicaDeadError& e) {
       failed = dead = true;
-      error_text = e.what();
-    } catch (const ContractViolation& e) {
-      // Deterministic request errors (malformed codes) are the caller's
-      // fault, not the replica's: the retry path still bounds them, but
-      // they never poison the replica's health.
-      failed = bad_request = true;
       error_text = e.what();
     } catch (const std::exception& e) {
       failed = true;
@@ -623,29 +647,35 @@ void ServingPool::replica_main(std::size_t replica_index) {
     const bool stalled = options_.stall_timeout_ms > 0.0 &&
                          duration_ms > options_.stall_timeout_ms;
 
-    const bool just_quarantined = record_dispatch_health(
-        replica_index, /*success=*/!failed, /*replica_fault=*/
-        failed && !bad_request, stalled, dead);
+    // Any fault in the dispatch counts once against the replica's health.
+    const bool fault =
+        failed || std::find(faulted.begin(), faulted.end(), 1) != faulted.end();
     bool serving = true;
-    if (just_quarantined) serving = handle_quarantine(replica_index);
+    if (record_dispatch_health(replica_index, fault, stalled, dead))
+      serving = handle_quarantine(replica_index);
 
     if (!failed) {
       const std::lock_guard<std::mutex> lock(mutex_);
-      for (std::size_t i = 0; i < work.size(); ++i) {
+      for (std::size_t i = 0, k = 0; i < work.size(); ++i) {
+        if (faulted[i]) continue;
         ServingResult outcome;
         outcome.status = RequestStatus::kOk;
-        outcome.result = std::move(results[i]);
+        outcome.result = std::move(results[k++]);
         outcome.attempts = work[i].attempts;
         outcome.replica = static_cast<int>(replica_index);
         outcome.dispatch_seq = dispatch_seq;
         resolve(std::move(work[i]), std::move(outcome));
       }
-    } else {
-      for (std::size_t i = 0; i < work.size(); ++i) {
-        work[i].codes = std::move(codes[i]);
-        retry_or_fail(std::move(work[i]), error_text, replica_index,
-                      dispatch_seq);
+    }
+    // Faulted requests, and every request of a failed dispatch, retry.
+    for (std::size_t i = 0, k = 0; i < work.size(); ++i) {
+      if (!faulted[i]) {
+        if (!failed) continue;  // resolved kOk above
+        // The codes went into the engine call, unless a kill came first.
+        if (k < codes.size()) work[i].codes = std::move(codes[k++]);
       }
+      retry_or_fail(std::move(work[i]), error_text, replica_index,
+                    dispatch_seq);
     }
     codes.clear();
 

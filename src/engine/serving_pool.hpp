@@ -28,14 +28,15 @@
 // Request lifecycle (every submitted request resolves with exactly one
 // typed RequestStatus — there are no invalid futures and no hangs):
 //
-//   submit ──> rejected (queue full under kReject / bulk evicted / closed)
+//   submit ──> rejected (malformed codes / queue full under kReject /
+//     │                 bulk evicted / closed)
 //     │
 //     ▼              deadline passed before dispatch
 //   queued ─────────────────────────────────────────> deadline-exceeded
 //     │  EDF within class; latency class first
 //     ▼
 //   dispatched ──ok──> ok
-//     │  replica threw (injected or real)
+//     │  its injected attempt faulted, or the replica threw
 //     ▼
 //   retry with bounded exponential backoff on a different healthy replica
 //     │  attempts exhausted, or no replica left
@@ -51,10 +52,13 @@
 // replica quarantines, queued and future work fails fast with
 // kReplicaFailed instead of waiting forever.
 //
-// Dispatch: each dispatch is one batched engine call. With a fault plan
-// armed, the replica first consults the injector once per request, so a
-// plan replays against individual inference attempts; the first fault
-// fails the whole dispatch before any image is computed.
+// Dispatch: each dispatch is one batched engine call on the replica's own
+// thread. With a fault plan armed, the replica first consults the injector
+// once per request, so a plan replays against individual inference
+// attempts. A transient fault re-queues only the request whose attempt it
+// hit, and the rest of the dispatch still runs; a kill fails the whole
+// dispatch. Either way the dispatch counts once against the replica's
+// health.
 //
 // Inference is pure — a retried request recomputes exactly the same logits
 // — so retry-elsewhere is always safe. Results delivered with status kOk
@@ -132,14 +136,24 @@ enum class AdmissionMode {
   kNonBlocking,
 };
 
+/// Longest accepted RequestOptions::deadline_ms: one year. Admission adds
+/// the deadline to steady_clock::now(), and this bound keeps that sum far
+/// inside steady_clock's range. submit() requires a deadline in
+/// [0, kMaxDeadlineMs]; the wire decoder refuses anything else, NaN
+/// included, as a malformed frame.
+inline constexpr double kMaxDeadlineMs = 365.0 * 24.0 * 3600.0 * 1000.0;
+static_assert(std::chrono::duration<double, std::milli>(kMaxDeadlineMs) <
+                  std::chrono::steady_clock::duration::max() / 2,
+              "kMaxDeadlineMs must fit steady_clock with room for now()");
+
 /// Per-request submission options.
 struct RequestOptions {
   PriorityClass priority = PriorityClass::kLatency;
-  /// Deadline relative to admission; 0 = none. A request whose deadline
-  /// passes while still queued fails fast with kDeadlineExceeded instead of
-  /// occupying a replica. Dispatch order within a class is earliest-
-  /// deadline-first (deadline-less requests rank last, FIFO among
-  /// themselves).
+  /// Deadline relative to admission; 0 = none, at most kMaxDeadlineMs. A
+  /// request whose deadline passes while still queued fails fast with
+  /// kDeadlineExceeded instead of occupying a replica. Dispatch order within
+  /// a class is earliest-deadline-first (deadline-less requests rank last,
+  /// FIFO among themselves).
   double deadline_ms = 0.0;
   AdmissionMode admission = AdmissionMode::kBlocking;
 };
@@ -154,7 +168,9 @@ struct Request {
   /// resolves kRejected without queueing (the registry normally routes
   /// before this check — it backstops misrouted direct submissions).
   std::string model_id;
-  TensorI codes;  ///< pre-encoded activation codes (CHW, T-bit)
+  /// Pre-encoded activation codes: the program's input shape (CHW), every
+  /// code in [0, 2^T). Anything else resolves kRejected at admission.
+  TensorI codes;
   RequestOptions options;
 };
 
@@ -279,8 +295,9 @@ class ServingPool {
   /// The single typed admission path — in-process callers and the
   /// rsnn_serve wire protocol (via serve::ModelRegistry) both funnel through
   /// here. Always returns a valid future resolving with exactly one typed
-  /// RequestStatus: a mismatched model_id, a closed pool, or a full queue
-  /// under kNonBlocking / kReject resolve immediately with kRejected. Under
+  /// RequestStatus: a mismatched model_id, malformed codes (see
+  /// Request::codes), a closed pool, or a full queue under kNonBlocking /
+  /// kReject resolve immediately with kRejected and 0 attempts. Under
   /// kBlocking a full queue blocks (kFifo/kBatch) and may evict the newest
   /// undispatched bulk request to admit latency-class work (degradation
   /// order: bulk first). `admitted`, when given, reports whether the
@@ -334,11 +351,6 @@ class ServingPool {
   /// fails expired requests fast. Empty once the pool is closed and
   /// drained.
   std::vector<Queued> acquire_work(std::size_t replica_index);
-  /// Run one dispatch on the replica's engine as one batched call, after
-  /// one fault-injector attempt per request when a fault plan is armed.
-  void run_dispatch(std::size_t replica_index,
-                    const std::vector<TensorI>& codes,
-                    std::vector<hw::AccelRunResult>& results);
   bool admit(TensorI&& codes, const RequestOptions& request,
              std::future<ServingResult>* ticket, bool blocking,
              bool allow_evict);
@@ -351,13 +363,12 @@ class ServingPool {
   /// attempts are exhausted (or no replica remains to serve it).
   void retry_or_fail(Queued&& request, const std::string& error,
                      std::size_t replica_index, std::int64_t dispatch_seq);
-  /// Health bookkeeping after a dispatch. `replica_fault` excludes
-  /// deterministic request errors (ContractViolation), which never poison
-  /// the replica's health; `dead` (a ReplicaDeadError) quarantines
-  /// immediately. Returns true when the replica just transitioned to
-  /// quarantined.
-  bool record_dispatch_health(std::size_t replica_index, bool success,
-                              bool replica_fault, bool stalled, bool dead);
+  /// Health bookkeeping after a dispatch: `fault` when any of its attempts
+  /// failed, counted once per dispatch; `dead` (a ReplicaDeadError)
+  /// quarantines immediately. Returns true when the replica just
+  /// transitioned to quarantined.
+  bool record_dispatch_health(std::size_t replica_index, bool fault,
+                              bool stalled, bool dead);
   /// Handle this replica's quarantine: rebuild (when configured) or retire.
   /// Returns false when the replica thread should exit.
   bool handle_quarantine(std::size_t replica_index);

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <mutex>
-#include <thread>
 #include <utility>
 
 #include "common/assert.hpp"
 #include "common/bits.hpp"
 #include "common/log.hpp"
-#include "common/parallel.hpp"
 #include "encoding/radix.hpp"
 
 namespace rsnn::hw {
@@ -119,23 +117,6 @@ void Accelerator::run_codes_batched_into(WorkerState& state,
     RSNN_REQUIRE(codes[b].shape() == program_.op(0).in_shape,
                  "input shape mismatch for op 0 (batch element " << b << ")");
     reset_run_result(results[b]);
-  }
-  // fast_path.threads: 1 = the sequential driver on the worker's own arena;
-  // 0 = one slice per hardware thread; N = at most N slices. The parallel
-  // driver runs the same per-slice code, so results stay bit-identical per
-  // image either way.
-  const int requested = program_.config().fast_path.threads;
-  const std::size_t threads =
-      requested == 1
-          ? 1
-          : (requested <= 0
-                 ? std::max(1u, std::thread::hardware_concurrency())
-                 : static_cast<std::size_t>(requested));
-  if (threads > 1 && batch > 1) {
-    run_fast_path_parallel(program_, fast_prepared(),
-                           common::shared_task_pool(), codes, batch, 0,
-                           program_.size(), nullptr, results, threads);
-    return;
   }
   run_fast_path(program_, fast_prepared(), state.fast_arena, codes, batch, 0,
                 program_.size(), nullptr, results);

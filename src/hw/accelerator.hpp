@@ -105,12 +105,9 @@ class Accelerator {
   /// dominate per-image runs. `codes` and `results` point at `batch`
   /// elements; every results[b] is bit-identical to run_codes_into(state,
   /// codes[b], results[b], mode). kStepped runs the images one by one. A
-  /// warm (state, results) pair keeps the whole call allocation-free.
-  ///
-  /// With config().fast_path.threads != 1 a batch of two or more splits into
-  /// contiguous image slices executed fork/join per op on
-  /// common::shared_task_pool() (hw/fast_path run_fast_path_parallel): same
-  /// kernels, same per-image results, one shared weight stream across cores.
+  /// warm (state, results) pair keeps the whole call allocation-free. The
+  /// whole batch runs on the calling thread: host cores are spent by running
+  /// more accelerators side by side (engine::ServingPool replicas).
   void run_codes_batched_into(WorkerState& state, const TensorI* codes,
                               std::size_t batch, AccelRunResult* results,
                               SimMode mode = SimMode::kCycleAccurate) const;

@@ -73,20 +73,13 @@ enum class LayoutPolicy {
 };
 
 /// Configuration of the simulator's code-domain fast path (SimMode
-/// kCycleAccurate). Purely a host-simulation concern: none of these options
-/// change logits, cycles, adder ops or traffic — the equivalence suite sweeps
-/// every combination against the stepped dataflow.
+/// kCycleAccurate). Purely a host-simulation concern: neither option changes
+/// logits, cycles, adder ops or traffic — the equivalence suite sweeps every
+/// combination against the stepped dataflow. A fast-path run always executes
+/// on its caller's thread.
 struct FastPathOptions {
   LayoutPolicy layout = LayoutPolicy::kAuto;
   bool fuse_conv_pool = true;  ///< run conv+pool pairs as one fused pass
-  /// Host threads for a batch of two or more images: the batch splits into
-  /// contiguous image slices executed fork/join per op on
-  /// common::shared_task_pool(), so all slices stream one prepared weight
-  /// pack together. 1 = sequential (the default), 0 = one slice per
-  /// hardware thread. Like every fast-path option this never changes what
-  /// is counted — per-image logits, cycles, adder ops and traffic stay
-  /// bit-identical to the sequential driver.
-  int threads = 1;
 };
 
 /// Weight storage placement for a layer (paper Sec. III-C).

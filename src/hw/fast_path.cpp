@@ -503,21 +503,15 @@ FastPrepared prepare_fast_path(const ir::LayerProgram& program) {
   return prep;
 }
 
-// --- Slice execution ---------------------------------------------------------
-//
-// A "slice" is a contiguous sub-range of the batch with its own arena,
-// image-minor interleaved activation buffer and per-image counter scratch.
-// run_fast_path() runs ONE slice covering the whole batch (a single image is
-// a slice of one); the parallel driver seats one slice per task-pool slot
-// and fork/joins every step. Both therefore execute the same per-slice code
-// on the same prepared pack — the parallel path's per-image bit-identity is
-// structural, not re-proven arithmetic.
+// --- Batched execution -------------------------------------------------------
 namespace {
 
-struct BatchSlice {
+/// The state of one run_fast_path() call: its arena, the batch's results and
+/// boundary outputs, the image-minor interleaved activation buffer and
+/// per-image counter scratch. A single image is a batch of one.
+struct BatchRun {
   common::Arena* arena = nullptr;
-  std::int64_t B = 0;                 ///< images in this slice
-  const TensorI* codes = nullptr;     ///< B input tensors
+  std::int64_t B = 0;                 ///< images in the batch
   AccelRunResult* results = nullptr;  ///< B caller-reset results
   TensorI* boundary = nullptr;        ///< B boundary tensors, or nullptr
   std::int64_t* cur = nullptr;        ///< interleaved activations cur[i*B+b]
@@ -528,9 +522,7 @@ struct BatchSlice {
 };
 
 /// Ops consumed by the step starting at `li`: 2 for a fused conv+pool pair
-/// lying entirely inside the executed range, else 1. A property of the
-/// program alone — every slice of a batch steps through ops identically,
-/// which is what lets the parallel driver advance all slices in lockstep.
+/// lying entirely inside the executed range, else 1.
 std::size_t ops_consumed(const ir::LayerProgram& program, std::size_t li,
                          std::size_t end) {
   const ir::LayerOp& op = program.op(li);
@@ -539,36 +531,11 @@ std::size_t ops_consumed(const ir::LayerProgram& program, std::size_t li,
   return fuse ? 2 : 1;
 }
 
-/// Rewind the slice's arena and stage its inputs: counter scratch first (so
-/// the arena round is stable), then the interleaved activation buffer.
-void init_slice(std::size_t begin, std::size_t end, BatchSlice& s) {
-  common::Arena& arena = *s.arena;
-  arena.reset();
-  const std::int64_t B = s.B;
-  for (std::int64_t b = 0; b < B; ++b) s.results[b].layers.reserve(end - begin);
-
-  s.spikes = arena.alloc<std::int64_t>(B);
-  s.adder = arena.alloc<std::int64_t>(B);
-  s.pool_spikes = arena.alloc<std::int64_t>(B);
-  s.pool_covered = arena.alloc<std::int64_t>(B);
-
-  // Activations travel between ops interleaved image-minor: cur[i*B + b] is
-  // element i (CHW order) of image b.
-  const std::int64_t n_in = s.codes[0].numel();
-  s.cur = arena.alloc<std::int64_t>(n_in * B);
-  for (std::int64_t b = 0; b < B; ++b) {
-    RSNN_REQUIRE(s.codes[b].numel() == n_in,
-                 "batched input codes must share one shape");
-    const std::int32_t* cp = s.codes[b].data();
-    for (std::int64_t i = 0; i < n_in; ++i) s.cur[i * B + b] = cp[i];
-  }
-}
-
-/// Execute the step starting at op `li` (one op, or a fused conv+pool pair)
-/// on one slice, including the end-of-range logit / boundary emission.
-void run_slice_op(const ir::LayerProgram& program, const FastPrepared& prep,
-                  const Kernels& K, int T, std::size_t n_layers, std::size_t li,
-                  std::size_t end, BatchSlice& s) {
+/// Execute the step starting at op `li` (one op, or a fused conv+pool pair),
+/// including the end-of-range logit / boundary emission.
+void run_step(const ir::LayerProgram& program, const FastPrepared& prep,
+              const Kernels& K, int T, std::size_t n_layers, std::size_t li,
+              std::size_t end, BatchRun& s) {
   common::Arena& arena = *s.arena;
   const std::int64_t B = s.B;
   AccelRunResult* results = s.results;
@@ -780,71 +747,34 @@ void run_fast_path(const ir::LayerProgram& program, const FastPrepared& prep,
   const Kernels& K = common::simd::kernels();
   const int T = program.time_bits();
   const std::size_t n_layers = program.network().layers.size();
+  const std::int64_t B = static_cast<std::int64_t>(batch);
 
-  BatchSlice s;
+  // Stage the inputs in a rewound arena: counter scratch first (so the arena
+  // round is stable), then the interleaved activation buffer, where
+  // cur[i*B + b] is element i (CHW order) of image b.
+  arena.reset();
+  for (std::size_t b = 0; b < batch; ++b)
+    results[b].layers.reserve(end - begin);
+  BatchRun s;
   s.arena = &arena;
-  s.B = static_cast<std::int64_t>(batch);
-  s.codes = codes;
+  s.B = B;
   s.results = results;
   s.boundary = boundary_codes;
-  init_slice(begin, end, s);
+  s.spikes = arena.alloc<std::int64_t>(B);
+  s.adder = arena.alloc<std::int64_t>(B);
+  s.pool_spikes = arena.alloc<std::int64_t>(B);
+  s.pool_covered = arena.alloc<std::int64_t>(B);
+  const std::int64_t n_in = codes[0].numel();
+  s.cur = arena.alloc<std::int64_t>(n_in * B);
+  for (std::int64_t b = 0; b < B; ++b) {
+    RSNN_REQUIRE(codes[b].numel() == n_in,
+                 "batched input codes must share one shape");
+    const std::int32_t* cp = codes[b].data();
+    for (std::int64_t i = 0; i < n_in; ++i) s.cur[i * B + b] = cp[i];
+  }
+
   for (std::size_t li = begin; li < end; li += ops_consumed(program, li, end))
-    run_slice_op(program, prep, K, T, n_layers, li, end, s);
-
-  const double cycle_ns = program.config().cycle_ns();
-  for (std::size_t b = 0; b < batch; ++b) finalize_run(results[b], cycle_ns);
-}
-
-void run_fast_path_parallel(const ir::LayerProgram& program,
-                            const FastPrepared& prep, common::TaskPool& pool,
-                            const TensorI* codes, std::size_t batch,
-                            std::size_t begin, std::size_t end,
-                            TensorI* boundary_codes, AccelRunResult* results,
-                            std::size_t threads) {
-  RSNN_REQUIRE(batch >= 1, "a fast-path run needs at least one image");
-  // One slice per requested thread — never more slices than images or pool
-  // slots. The fixed cap keeps the slice table on the stack (no per-call
-  // allocation); past ~64 cores the batch, not the core count, is the limit.
-  constexpr std::size_t kMaxSlices = 64;
-  const std::size_t n_slices =
-      std::min({threads, batch, pool.slots(), kMaxSlices});
-
-  // Slice activation state lives in the pool's slot arenas across the
-  // per-op rounds, so the pool is held for the whole run, not per fork.
-  auto session = pool.acquire();
-  if (n_slices <= 1) {
-    run_fast_path(program, prep, pool.arena(0), codes, batch, begin, end,
-                  boundary_codes, results);
-    return;
-  }
-
-  const Kernels& K = common::simd::kernels();
-  const int T = program.time_bits();
-  const std::size_t n_layers = program.network().layers.size();
-
-  BatchSlice slices[kMaxSlices];
-  std::size_t off = 0;
-  for (std::size_t c = 0; c < n_slices; ++c) {
-    const std::size_t n = batch / n_slices + (c < batch % n_slices ? 1 : 0);
-    BatchSlice& s = slices[c];
-    s.arena = &pool.arena(c);
-    s.B = static_cast<std::int64_t>(n);
-    s.codes = codes + off;
-    s.results = results + off;
-    s.boundary = boundary_codes ? boundary_codes + off : nullptr;
-    off += n;
-  }
-
-  // Fork/join once per step: every slice executes the SAME op over its own
-  // images, so all cores stream one shared weight tap sequence — the taps a
-  // slice pulls into the shared cache are the taps its siblings need next.
-  pool.run(n_slices, [&](std::size_t c) { init_slice(begin, end, slices[c]); });
-  for (std::size_t li = begin; li < end;
-       li += ops_consumed(program, li, end)) {
-    pool.run(n_slices, [&](std::size_t c) {
-      run_slice_op(program, prep, K, T, n_layers, li, end, slices[c]);
-    });
-  }
+    run_step(program, prep, K, T, n_layers, li, end, s);
 
   const double cycle_ns = program.config().cycle_ns();
   for (std::size_t b = 0; b < batch; ++b) finalize_run(results[b], cycle_ns);

@@ -22,9 +22,10 @@
 // tests/test_fastpath.cpp sweeps exhaustively.
 //
 // There is one driver, run_fast_path(): it executes a batch of B images
-// through one traversal of the prepared weights, and a single image is a
-// batch of one. The HWC conv kernel, where a runtime batch loop costs
-// measurably at B = 1, is compiled for B = 1 as well as for a runtime B.
+// through one traversal of the prepared weights on the calling thread, and
+// a single image is a batch of one. The HWC conv kernel, where a runtime
+// batch loop costs measurably at B = 1, is compiled for B = 1 as well as for
+// a runtime B.
 //
 // Memory model: all intermediate activation buffers are bump-allocated from
 // a per-worker common::Arena that is rewound per inference — a warm worker
@@ -40,7 +41,6 @@
 #include <memory>
 
 #include "common/arena.hpp"
-#include "common/parallel.hpp"
 #include "hw/run_result.hpp"
 #include "ir/layer_program.hpp"
 #include "tensor/tensor.hpp"
@@ -103,21 +103,5 @@ void run_fast_path(const ir::LayerProgram& program, const FastPrepared& prep,
                    common::Arena& arena, const TensorI* codes,
                    std::size_t batch, std::size_t begin, std::size_t end,
                    TensorI* boundary_codes, AccelRunResult* results);
-
-/// Multi-core variant: the batch splits into at most `threads` contiguous
-/// image slices and every op is executed fork/join on `pool` — all slices
-/// traverse the same prepared weight pack concurrently, so the taps a slice
-/// loads into the shared cache are the taps every other slice needs next.
-/// Each slice is run_fast_path()'s per-slice code over its sub-range (its
-/// own slot arena), so per-image logits and accounting are bit-identical to
-/// run_fast_path() by construction, and warm runs allocate nothing. Degrades
-/// to run_fast_path() on pool.arena(0) when fewer than two slices make
-/// sense. Acquires the pool for the whole run; concurrent callers serialize.
-void run_fast_path_parallel(const ir::LayerProgram& program,
-                            const FastPrepared& prep, common::TaskPool& pool,
-                            const TensorI* codes, std::size_t batch,
-                            std::size_t begin, std::size_t end,
-                            TensorI* boundary_codes, AccelRunResult* results,
-                            std::size_t threads);
 
 }  // namespace rsnn::hw

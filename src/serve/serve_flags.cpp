@@ -43,7 +43,7 @@ std::vector<FlagSpec> serving_request_flags() {
   return {
       number_flag("deadline-ms", "0",
                   "per-request queueing deadline (0 = none)", 0.0,
-                  flags::kUnbounded, "MS"),
+                  engine::kMaxDeadlineMs, "MS"),
       count_flag("bulk-every", "0",
                  "submit every Nth request on the bulk lane (0 = off)"),
   };

@@ -276,8 +276,15 @@ std::string decode(const std::vector<std::uint8_t>& payload,
     return bad_enum("priority class", priority);
   if (!enum_from_u8(admission, 1, &out->options.admission))
     return bad_enum("admission mode", admission);
-  if (out->options.deadline_ms < 0.0)
-    return "malformed frame: negative deadline";
+  // Written so that NaN fails too.
+  const double deadline_ms = out->options.deadline_ms;
+  if (!(deadline_ms >= 0.0 && deadline_ms <= engine::kMaxDeadlineMs)) {
+    char text[96];
+    std::snprintf(text, sizeof text,
+                  "malformed frame: deadline_ms %g is not in [0, %g]",
+                  deadline_ms, engine::kMaxDeadlineMs);
+    return text;
+  }
   return {};
 }
 

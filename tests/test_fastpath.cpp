@@ -9,18 +9,14 @@
 // conv+pool pair split by a pipeline cut).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <string>
-#include <thread>
 #include <variant>
 #include <vector>
 
 #include "common/alloc_hook.hpp"
 #include "common/arena.hpp"
-#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "engine/engine.hpp"
@@ -541,169 +537,6 @@ TEST(FastPathBatched, WarmBatchedInferenceAllocatesNothing) {
   const std::uint64_t after = common::allocation_count();
   EXPECT_EQ(after - before, 0u)
       << "warm batched fast-path inference must not touch the heap";
-  expect_bit_identical(results.at(0), warm);
-#endif
-}
-
-// ------------------------------------------------ TaskPool fork/join
-
-TEST(TaskPool, RunsEveryTaskOnItsOwnSlot) {
-  common::TaskPool pool(4);
-  EXPECT_EQ(pool.slots(), 4u);
-  EXPECT_NE(&pool.arena(0), &pool.arena(1));
-
-  std::atomic<int> ran{0};
-  int hits[4] = {0, 0, 0, 0};
-  auto session = pool.acquire();
-  pool.run(4, [&](std::size_t slot) {
-    hits[slot] += 1;
-    ran.fetch_add(1);
-  });
-  EXPECT_EQ(ran.load(), 4);
-  for (int slot = 0; slot < 4; ++slot) EXPECT_EQ(hits[slot], 1);
-
-  // Task 0 runs on the calling thread (static slot binding).
-  const std::thread::id caller = std::this_thread::get_id();
-  std::thread::id task0;
-  pool.run(2, [&](std::size_t slot) {
-    if (slot == 0) task0 = std::this_thread::get_id();
-  });
-  EXPECT_EQ(task0, caller);
-}
-
-TEST(TaskPool, WorkerExceptionsPropagateAndPoolStaysUsable) {
-  common::TaskPool pool(3);
-  auto session = pool.acquire();
-  EXPECT_THROW(pool.run(3,
-                        [&](std::size_t slot) {
-                          if (slot == 2) throw std::runtime_error("boom");
-                        }),
-               std::runtime_error);
-  // The fork/join still works after a failed round.
-  std::atomic<int> ran{0};
-  pool.run(3, [&](std::size_t) { ran.fetch_add(1); });
-  EXPECT_EQ(ran.load(), 3);
-}
-
-// ------------------------------------ intra-op parallel batched fast path
-
-/// Batched parallel runs must be bit-identical, image for image, to the
-/// sequential batched kernel — same logits, cycles, adder ops and traffic.
-/// The thread count partitions the batch into slices; it must never change
-/// what is counted.
-void expect_parallel_matches_sequential(const AcceleratorConfig& base_cfg,
-                                        const quant::QuantizedNetwork& qnet,
-                                        const std::vector<TensorI>& codes,
-                                        std::initializer_list<int> threads) {
-  AcceleratorConfig seq_cfg = base_cfg;
-  seq_cfg.fast_path.threads = 1;
-  const Accelerator seq(seq_cfg, qnet);
-  Accelerator::WorkerState seq_state = seq.make_worker_state();
-  std::vector<AccelRunResult> golden(codes.size());
-  seq.run_codes_batched_into(seq_state, codes.data(), codes.size(),
-                             golden.data());
-
-  for (const int t : threads) {
-    SCOPED_TRACE("threads=" + std::to_string(t));
-    AcceleratorConfig cfg = base_cfg;
-    cfg.fast_path.threads = t;
-    const Accelerator par(cfg, qnet);
-    Accelerator::WorkerState state = par.make_worker_state();
-    std::vector<AccelRunResult> results(codes.size());
-    par.run_codes_batched_into(state, codes.data(), codes.size(),
-                               results.data());
-    for (std::size_t b = 0; b < codes.size(); ++b) {
-      SCOPED_TRACE("image " + std::to_string(b));
-      expect_bit_identical(results[b], golden[b]);
-    }
-  }
-}
-
-TEST(FastPathParallel, LeNetThreadSweepAllPlanVariantsMatchSequential) {
-  Rng rng(901);
-  nn::Network lenet = nn::make_lenet5();
-  lenet.init_params(rng);
-  const quant::QuantizedNetwork qnet =
-      quant::quantize(lenet, quant::QuantizeConfig{3, 4});
-  const std::vector<TensorI> codes = random_code_batch(qnet, 8, rng);
-  const int hc =
-      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-
-  for (const PlanVariant& variant : kPlanVariants) {
-    SCOPED_TRACE(variant.label);
-    AcceleratorConfig cfg = lenet_reference_config();
-    cfg.fast_path.layout = variant.layout;
-    cfg.fast_path.fuse_conv_pool = variant.fuse;
-    // threads=5 leaves a remainder: the batch of 8 splits 2+2+2+1+1, so
-    // the uneven-slice bookkeeping is exercised too.
-    expect_parallel_matches_sequential(cfg, qnet, codes, {1, 2, 5, hc});
-  }
-}
-
-TEST(FastPathParallel, LeNetScalarDispatchMatchesSequential) {
-  Rng rng(902);
-  nn::Network lenet = nn::make_lenet5();
-  lenet.init_params(rng);
-  const quant::QuantizedNetwork qnet =
-      quant::quantize(lenet, quant::QuantizeConfig{3, 4});
-  const std::vector<TensorI> codes = random_code_batch(qnet, 6, rng);
-  common::simd::ScopedForceScalar force(true);
-  for (const PlanVariant& variant : kPlanVariants) {
-    SCOPED_TRACE(variant.label);
-    AcceleratorConfig cfg = lenet_reference_config();
-    cfg.fast_path.layout = variant.layout;
-    cfg.fast_path.fuse_conv_pool = variant.fuse;
-    expect_parallel_matches_sequential(cfg, qnet, codes, {2, 3});
-  }
-}
-
-TEST(FastPathParallel, Vgg11ThreadSweepMatchesSequential) {
-  Rng rng(903);
-  nn::Network vgg = nn::make_vgg11();
-  vgg.init_params(rng);
-  const quant::QuantizedNetwork qnet =
-      quant::quantize(vgg, quant::QuantizeConfig{3, 3});
-  const std::vector<TensorI> codes = random_code_batch(qnet, 6, rng);
-  const int hc =
-      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-  expect_parallel_matches_sequential(vgg11_table3_config(), qnet, codes,
-                                     {2, 4, hc});
-}
-
-TEST(FastPathParallel, WarmParallelBatchedInferenceAllocatesNothing) {
-#ifdef RSNN_SANITIZERS_ACTIVE
-  GTEST_SKIP() << "allocation counting is not meaningful under sanitizers";
-#else
-  Rng rng(904);
-  nn::Network net = rsnn::testing::small_random_net(rng);
-  const quant::QuantizedNetwork qnet =
-      quant::quantize(net, quant::QuantizeConfig{3, 4});
-  AcceleratorConfig cfg;
-  cfg.conv = ConvUnitGeometry{16, 3, 24};
-  cfg.pool = PoolUnitGeometry{8, 2, 16};
-  cfg.linear = LinearUnitGeometry{8, 24};
-  cfg.fast_path.threads = 4;
-  const Accelerator accel(cfg, qnet);
-  const std::vector<TensorI> codes = random_code_batch(qnet, 8, rng);
-  Accelerator::WorkerState state = accel.make_worker_state();
-  std::vector<AccelRunResult> results(codes.size());
-
-  // Two warm batches: the first spins up the shared task pool, builds the
-  // prepared weights and sizes every slot arena; the second consolidates
-  // the arenas' primary chunks.
-  accel.run_codes_batched_into(state, codes.data(), codes.size(),
-                               results.data());
-  accel.run_codes_batched_into(state, codes.data(), codes.size(),
-                               results.data());
-  const AccelRunResult warm = results.at(0);
-
-  const std::uint64_t before = common::allocation_count();
-  ASSERT_GT(before, 0u) << "allocation hook not linked";
-  accel.run_codes_batched_into(state, codes.data(), codes.size(),
-                               results.data());
-  const std::uint64_t after = common::allocation_count();
-  EXPECT_EQ(after - before, 0u)
-      << "warm parallel batched fast-path inference must not touch the heap";
   expect_bit_identical(results.at(0), warm);
 #endif
 }

@@ -216,6 +216,44 @@ TEST(ServingPool, TransientFaultRetriesOnAnotherReplica) {
   EXPECT_EQ(stats.failed, 0);
 }
 
+TEST(ServingPool, TransientFaultInABatchRetriesOnlyItsOwnRequest) {
+  // One replica batching four requests under err:r0@3: only the request
+  // whose attempt faulted re-queues. The other three run in the dispatch's
+  // one batched call, so the plan costs one retry and five injector
+  // attempts, not a second attempt for every request of the batch.
+  const LeNetFixture fx;
+  const auto batch = lenet_batch(4, fx.qnet.time_bits);
+  const auto reference =
+      monolithic_reference(fx.program, EngineKind::kCycleAccurate, batch);
+
+  ServingPoolOptions options;
+  options.policy = AdmissionPolicy::kBatch;
+  options.max_batch = 4;
+  options.max_wait_ms = 50.0;
+  options.fault_plan = plan_of("err:r0@3");
+  ServingPool pool(fx.program, EngineKind::kCycleAccurate, options);
+
+  const auto run = serve_batch(pool, batch);
+  int retried = 0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_EQ(run[i].status, RequestStatus::kOk)
+        << "image " << i << ": " << run[i].error;
+    EXPECT_EQ(run[i].result.logits, reference[i].logits) << "image " << i;
+    if (run[i].attempts == 2)
+      ++retried;
+    else
+      EXPECT_EQ(run[i].attempts, 1) << "image " << i;
+  }
+  EXPECT_EQ(retried, 1);
+
+  const ServingStats stats = pool.stats();
+  EXPECT_EQ(stats.retries, 1);
+  EXPECT_EQ(stats.replica_failures, 1);
+  EXPECT_GT(stats.mean_batch, 1.0);
+  ASSERT_NE(pool.fault_injector(), nullptr);
+  EXPECT_EQ(pool.fault_injector()->attempts(0), 5);
+}
+
 TEST(ServingPool, RetryStormIsBoundedByBackoffCap) {
   // Every attempt fails (err:p1.0): each request must consume exactly
   // max_retries + 1 attempts and resolve kReplicaFailed — no unbounded

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -265,6 +266,28 @@ TEST(Wire, RejectsTensorBombsWithoutAllocating) {
   EXPECT_FALSE(decode(bomb(1, 1 << 20), &out).empty()) << "missing elements";
 }
 
+TEST(Wire, RejectsDeadlinesOutsideTheAdmissibleRange) {
+  // A deadline must be a finite number in [0, kMaxDeadlineMs]; NaN compares
+  // false against every bound, so it needs its own case.
+  InferRequest request;
+  request.model_id = "m";
+  request.codes = TensorI(Shape{1, 1, 1}, std::vector<std::int32_t>{1});
+  for (const double deadline_ms :
+       {std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(), -1.0,
+        engine::kMaxDeadlineMs * 2}) {
+    SCOPED_TRACE(deadline_ms);
+    request.options.deadline_ms = deadline_ms;
+    InferRequest out;
+    const std::string error = decode(encode(request), &out);
+    EXPECT_NE(error.find("deadline"), std::string::npos) << error;
+  }
+  request.options.deadline_ms = engine::kMaxDeadlineMs;
+  InferRequest out;
+  EXPECT_EQ(decode(encode(request), &out), "");
+  EXPECT_EQ(out.options.deadline_ms, engine::kMaxDeadlineMs);
+}
+
 TEST(Wire, RejectsOutOfRangeEnums) {
   Writer w;
   w.str("m");
@@ -509,11 +532,20 @@ TEST(ServeEndToEnd, FullSessionAgainstLiveServer) {
   EXPECT_EQ(health.models[0].replicas, 1);
   EXPECT_EQ(health.models[0].active_replicas, 1);
 
-  // Inference over the wire serves the same logits as in-process execution.
+  // Codes of the wrong shape are well-formed bytes, so they get a typed
+  // kRejected reply naming the expected shape, not an Error frame, and the
+  // connection keeps serving.
   InferRequest request;
   request.model_id = "a";
-  request.codes = codes;
+  request.codes = TensorI(Shape{1, 8, 8});
   InferReply reply;
+  ASSERT_TRUE(client.infer(request, &reply).empty());
+  EXPECT_EQ(reply.status, RequestStatus::kRejected);
+  EXPECT_EQ(reply.attempts, 0);
+  EXPECT_NE(reply.error.find("[1, 10, 10]"), std::string::npos) << reply.error;
+
+  // Inference over the wire serves the same logits as in-process execution.
+  request.codes = codes;
   ASSERT_TRUE(client.infer(request, &reply).empty());
   ASSERT_EQ(reply.status, RequestStatus::kOk) << reply.error;
   EXPECT_EQ(reply.logits, logits_a);
@@ -665,6 +697,22 @@ TEST(ServeEndToEnd, MalformedFramesAnswerOneErrorAndClose) {
                           FrameType::kInferReply, &reply_payload);
     EXPECT_NE(error.find("server error"), std::string::npos) << error;
     EXPECT_NE(error.find("infer_reply"), std::string::npos) << error;
+  }
+
+  // A NaN deadline decodes as a malformed frame: one Error frame, then
+  // close. It must never reach admission's precondition, which would throw
+  // in the connection thread and stop the daemon.
+  {
+    Client client;
+    ASSERT_TRUE(client.connect_loopback(live.server.port()).empty());
+    InferRequest request;
+    request.model_id = "a";
+    request.codes = encode_image(make_qnet(11), 5);
+    request.options.deadline_ms = std::numeric_limits<double>::quiet_NaN();
+    InferReply reply;
+    const std::string error = client.infer(request, &reply);
+    EXPECT_NE(error.find("server error"), std::string::npos) << error;
+    EXPECT_NE(error.find("deadline"), std::string::npos) << error;
   }
 
   // After all that abuse the server still serves new connections.

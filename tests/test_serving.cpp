@@ -2,12 +2,15 @@
 // policy) must produce logits bit-identical to monolithic execution, a
 // replica must cost exactly one thread, and the admission queue must survive
 // concurrent producers and honor its edge cases (zero capacity, shutdown
-// with in-flight work, batch deadline with a single pending item).
+// with in-flight work, batch deadline with a single pending item, malformed
+// requests refused at admission).
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <future>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -380,30 +383,86 @@ TEST(ServingPool, BatchRefillsFromProducersBlockedOnAFullQueue) {
 }
 
 TEST(ServingPool, MalformedRequestFailsOnlyItself) {
+  // Codes of the wrong shape, or holding a value outside [0, 2^T), are
+  // refused at admission: never queued, never retried, and the pool serves
+  // the next request.
   const LeNetFixture fx;
   const auto batch = lenet_batch(1, fx.qnet.time_bits);
+  const std::int32_t limit = std::int32_t{1} << fx.qnet.time_bits;
+  // Each malformed input, with the text its rejection must name.
+  std::vector<std::pair<TensorI, std::string>> malformed;
+  malformed.emplace_back(TensorI(Shape{1, 8, 8}), "[1, 32, 32]");
+  for (const std::int32_t code : {limit, -1, std::int32_t{1} << 24}) {
+    TensorI codes = batch[0];
+    codes.data()[17] = code;
+    malformed.emplace_back(std::move(codes), "code " + std::to_string(code));
+  }
 
   ServingPool pool(fx.program, EngineKind::kReference, ServingPoolOptions{});
-  auto bad = pool.submit(request_for(TensorI(Shape{1, 8, 8})));
-  ASSERT_TRUE(bad.valid());
-  const ServingResult failed = bad.get();
-  EXPECT_EQ(failed.status, RequestStatus::kReplicaFailed);
-  EXPECT_FALSE(failed.error.empty());
-  // Deterministic request errors are still retried (the pool cannot tell a
-  // bad request from a bad replica a priori), but bounded.
-  EXPECT_EQ(failed.attempts, ServingPoolOptions{}.max_retries + 1);
+  for (const auto& [codes, named] : malformed) {
+    SCOPED_TRACE(named);
+    bool admitted = true;
+    auto ticket = pool.submit(request_for(codes), &admitted);
+    EXPECT_FALSE(admitted);
+    const ServingResult rejected = ticket.get();
+    EXPECT_EQ(rejected.status, RequestStatus::kRejected);
+    EXPECT_EQ(rejected.attempts, 0);
+    EXPECT_NE(rejected.error.find(named), std::string::npos)
+        << rejected.error;
+  }
 
-  // The pool stays serviceable after a failed dispatch: a malformed request
-  // is the caller's fault and never poisons the replica's health.
   auto good = pool.submit(request_for(batch[0]));
   const ServingResult ok = good.get();
   ASSERT_EQ(ok.status, RequestStatus::kOk) << ok.error;
   EXPECT_FALSE(ok.result.logits.empty());
   const ServingStats stats = pool.stats();
-  EXPECT_EQ(stats.failed, 1);
+  EXPECT_EQ(stats.rejected, 4);
+  EXPECT_EQ(stats.submitted, 1) << "no malformed request queued";
   EXPECT_EQ(stats.completed, 1);
-  EXPECT_EQ(stats.retries, ServingPoolOptions{}.max_retries);
+  EXPECT_EQ(stats.failed, 0);
+  EXPECT_EQ(stats.retries, 0);
+  EXPECT_EQ(stats.dispatches, 1);
   EXPECT_EQ(stats.active_replicas, 1);
+}
+
+TEST(ServingPool, MalformedRequestLeavesItsBurstsBatchIntact) {
+  // Three good requests and one of the wrong shape in one burst, under the
+  // batch policy: the bad one is rejected alone, and the good ones still
+  // dispatch together with monolithic logits.
+  const LeNetFixture fx;
+  const auto batch = lenet_batch(3, fx.qnet.time_bits);
+  for (const EngineKind kind :
+       {EngineKind::kCycleAccurate, EngineKind::kReference}) {
+    SCOPED_TRACE(engine_name(kind));
+    const auto reference = monolithic_reference(fx.program, kind, batch);
+    ServingPoolOptions options;
+    options.policy = AdmissionPolicy::kBatch;
+    options.max_batch = 4;
+    options.max_wait_ms = 50.0;
+    ServingPool pool(fx.program, kind, options);
+
+    std::vector<std::future<ServingResult>> tickets;
+    tickets.push_back(pool.submit(request_for(batch[0])));
+    tickets.push_back(pool.submit(request_for(batch[1])));
+    auto bad = pool.submit(request_for(TensorI(Shape{1, 8, 8})));
+    tickets.push_back(pool.submit(request_for(batch[2])));
+
+    const ServingResult rejected = bad.get();
+    EXPECT_EQ(rejected.status, RequestStatus::kRejected);
+    EXPECT_EQ(rejected.attempts, 0);
+    for (std::size_t i = 0; i < tickets.size(); ++i) {
+      const ServingResult result = tickets[i].get();
+      ASSERT_EQ(result.status, RequestStatus::kOk) << result.error;
+      EXPECT_EQ(result.attempts, 1);
+      EXPECT_EQ(result.result.logits, reference[i].logits) << "image " << i;
+    }
+    const ServingStats stats = pool.stats();
+    EXPECT_EQ(stats.completed, 3);
+    EXPECT_EQ(stats.rejected, 1);
+    EXPECT_EQ(stats.retries, 0);
+    EXPECT_EQ(stats.replica_failures, 0);
+    EXPECT_GT(stats.mean_batch, 1.0);
+  }
 }
 
 TEST(ServingPool, InvalidOptionsThrow) {

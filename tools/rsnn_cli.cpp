@@ -86,7 +86,6 @@ std::vector<FlagSpec> run_flags() {
                 "cycle_accurate|stepped|behavioral|reference (analytic = "
                 "cycle_accurate)",
                 "NAME"),
-      count_flag("threads", "1", "cores per batched fast-path run (0 = all)"),
       count_flag("pipeline", "1", "pipeline-parallel stages", 1),
       text_flag("partition", "balance_latency",
                 "balance_latency|fit_resources", "NAME"),
@@ -236,10 +235,6 @@ int cmd_run(int argc, char** argv) {
   compiler::CompileOptions options;
   options.num_conv_units = static_cast<int>(args.count("units"));
   options.clock_mhz = args.number("mhz");
-  // Host threads per batched fast-path run (0 = hardware concurrency). Flows
-  // through the lowered program's config, so every engine built over the
-  // program — the report's engine and each pipeline stage — inherits it.
-  options.fast_path_threads = static_cast<int>(args.count("threads"));
   const auto design = compiler::compile(qnet, options);
   std::printf("%s", compiler::describe(design, qnet).c_str());
 

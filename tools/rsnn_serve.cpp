@@ -2,13 +2,15 @@
 // protocol (src/serve/wire.hpp) on a loopback TCP port.
 //
 //   rsnn_serve [--port 7433] [--preload lenet=lenet.qsnn,vgg=vgg.qsnn]
-//              [--engine cycle_accurate] [--units 2] [--mhz 100] [--threads 1]
+//              [--engine cycle_accurate] [--units 2] [--mhz 100]
 //              [--replicas 1] [--policy fifo|batch|reject] [--fault PLAN]
 //              [...the rest of the serving-pool flag table...]
 //
 // The one serving front end. Every loaded model gets its own
 // engine::ServingPool built from the shared serving flag table
 // (serve/serve_flags.hpp): one engine and one dispatcher thread per replica.
+// Replicas are how the daemon spends host cores; each dispatch, batched or
+// not, runs on its replica's one thread.
 // Clients load further models, hot-swap running ones, and push inference
 // with rsnn_client (or anything speaking the frame format).
 //
@@ -51,9 +53,6 @@ std::vector<FlagSpec> daemon_flags() {
                 "NAME"),
       count_flag("units", "2", "convolution units in each derived design", 1),
       number_flag("mhz", "100", "design clock", 1e-3),
-      count_flag("threads", "1",
-                 "cores per batched fast-path run (0 = all; trades against "
-                 "--replicas)"),
   };
   return flags::merge_flags(std::move(table), serve::serving_pool_flags());
 }
@@ -121,8 +120,6 @@ int serve_main(int argc, char** argv) {
   serve::RegistryOptions registry_options;
   registry_options.compile.num_conv_units = static_cast<int>(args.count("units"));
   registry_options.compile.clock_mhz = args.number("mhz");
-  registry_options.compile.fast_path_threads =
-      static_cast<int>(args.count("threads"));
   registry_options.kind = engine::parse_engine(args.text("engine"));
   const std::string pool_error =
       serve::pool_options_from_flags(args, &registry_options.pool);
