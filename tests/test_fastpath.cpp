@@ -39,41 +39,8 @@
 namespace rsnn::hw {
 namespace {
 
+using rsnn::testing::expect_bit_identical;
 using rsnn::testing::random_image;
-
-/// Full bit-identity check: totals, traffic, logits, and every per-layer
-/// record.
-void expect_bit_identical(const AccelRunResult& run,
-                          const AccelRunResult& golden) {
-  EXPECT_EQ(run.logits, golden.logits);
-  EXPECT_EQ(run.predicted_class, golden.predicted_class);
-  EXPECT_EQ(run.total_cycles, golden.total_cycles);
-  EXPECT_EQ(run.total_adder_ops, golden.total_adder_ops);
-  EXPECT_EQ(run.dram_bits, golden.dram_bits);
-  EXPECT_EQ(run.traffic_total.act_read_bits, golden.traffic_total.act_read_bits);
-  EXPECT_EQ(run.traffic_total.act_write_bits,
-            golden.traffic_total.act_write_bits);
-  EXPECT_EQ(run.traffic_total.weight_read_bits,
-            golden.traffic_total.weight_read_bits);
-  EXPECT_EQ(run.traffic_total.dram_bits, golden.traffic_total.dram_bits);
-  ASSERT_EQ(run.layers.size(), golden.layers.size());
-  for (std::size_t li = 0; li < run.layers.size(); ++li) {
-    SCOPED_TRACE("layer " + std::to_string(li));
-    EXPECT_EQ(run.layers[li].name, golden.layers[li].name);
-    EXPECT_EQ(run.layers[li].cycles, golden.layers[li].cycles);
-    EXPECT_EQ(run.layers[li].dram_cycles, golden.layers[li].dram_cycles);
-    EXPECT_EQ(run.layers[li].adder_ops, golden.layers[li].adder_ops);
-    EXPECT_EQ(run.layers[li].input_spikes, golden.layers[li].input_spikes);
-    EXPECT_EQ(run.layers[li].traffic.act_read_bits,
-              golden.layers[li].traffic.act_read_bits);
-    EXPECT_EQ(run.layers[li].traffic.act_write_bits,
-              golden.layers[li].traffic.act_write_bits);
-    EXPECT_EQ(run.layers[li].traffic.weight_read_bits,
-              golden.layers[li].traffic.weight_read_bits);
-    EXPECT_EQ(run.layers[li].traffic.dram_bits,
-              golden.layers[li].traffic.dram_bits);
-  }
-}
 
 struct PlanVariant {
   LayoutPolicy layout;

@@ -2,12 +2,16 @@
 // a batch driver for the serving pool's typed submit(Request) path.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <future>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "engine/serving_pool.hpp"
+#include "hw/run_result.hpp"
 #include "nn/activation.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/flatten.hpp"
@@ -80,6 +84,40 @@ inline nn::Network sweep_net(const SweepConfig& cfg, Rng& rng) {
     for (std::int64_t i = 0; i < p->value.numel(); ++i)
       p->value.at_flat(i) *= 0.5f;
   return net;
+}
+
+/// Full bit-identity check of two accelerator runs: totals, traffic, logits
+/// and every per-layer record.
+inline void expect_bit_identical(const hw::AccelRunResult& run,
+                                 const hw::AccelRunResult& golden) {
+  EXPECT_EQ(run.logits, golden.logits);
+  EXPECT_EQ(run.predicted_class, golden.predicted_class);
+  EXPECT_EQ(run.total_cycles, golden.total_cycles);
+  EXPECT_EQ(run.total_adder_ops, golden.total_adder_ops);
+  EXPECT_EQ(run.dram_bits, golden.dram_bits);
+  EXPECT_EQ(run.traffic_total.act_read_bits, golden.traffic_total.act_read_bits);
+  EXPECT_EQ(run.traffic_total.act_write_bits,
+            golden.traffic_total.act_write_bits);
+  EXPECT_EQ(run.traffic_total.weight_read_bits,
+            golden.traffic_total.weight_read_bits);
+  EXPECT_EQ(run.traffic_total.dram_bits, golden.traffic_total.dram_bits);
+  ASSERT_EQ(run.layers.size(), golden.layers.size());
+  for (std::size_t li = 0; li < run.layers.size(); ++li) {
+    SCOPED_TRACE("layer " + std::to_string(li));
+    EXPECT_EQ(run.layers[li].name, golden.layers[li].name);
+    EXPECT_EQ(run.layers[li].cycles, golden.layers[li].cycles);
+    EXPECT_EQ(run.layers[li].dram_cycles, golden.layers[li].dram_cycles);
+    EXPECT_EQ(run.layers[li].adder_ops, golden.layers[li].adder_ops);
+    EXPECT_EQ(run.layers[li].input_spikes, golden.layers[li].input_spikes);
+    EXPECT_EQ(run.layers[li].traffic.act_read_bits,
+              golden.layers[li].traffic.act_read_bits);
+    EXPECT_EQ(run.layers[li].traffic.act_write_bits,
+              golden.layers[li].traffic.act_write_bits);
+    EXPECT_EQ(run.layers[li].traffic.weight_read_bits,
+              golden.layers[li].traffic.weight_read_bits);
+    EXPECT_EQ(run.layers[li].traffic.dram_bits,
+              golden.layers[li].traffic.dram_bits);
+  }
 }
 
 /// A typed serving request for `codes` with `options` and no routing key.

@@ -96,7 +96,7 @@ fi
 echo "==== [Release] forced-scalar dispatch (RSNN_FORCE_SCALAR=1) ===="
 if ! RSNN_FORCE_SCALAR=1 ctest --test-dir build-check-release \
     --output-on-failure -j "$JOBS" \
-    -R 'test_fastpath|test_equivalence_packed'; then
+    -R 'test_fastpath|test_equivalence_packed|test_property'; then
   echo "==== [Release] FAILED: forced-scalar ctest ===="
   exit 1
 fi
@@ -144,10 +144,10 @@ cmake -B build-check-sanitize -S . \
 echo "==== [Release+RSNN_SANITIZE] build (threaded executor tests) ===="
 cmake --build build-check-sanitize -j "$JOBS" \
     --target test_pipeline test_equivalence_packed test_relower test_serving \
-      test_serve test_faults test_fastpath
+      test_serve test_faults test_fastpath test_property
 echo "==== [Release+RSNN_SANITIZE] ctest ===="
 ctest --test-dir build-check-sanitize --output-on-failure -j "$JOBS" \
-    -R 'test_pipeline|test_equivalence_packed|test_relower|test_serving|test_serve$|test_faults|test_fastpath'
+    -R 'test_pipeline|test_equivalence_packed|test_relower|test_serving|test_serve$|test_faults|test_fastpath|test_property'
 
 # 5. ThreadSanitizer pass: same threaded suites under RSNN_SANITIZE_THREAD
 #    (its own build directory — TSan and ASan cannot share one). This is
