@@ -1,186 +1,149 @@
-// Runtime-dispatched SIMD kernels for the fast path. See simd.hpp for the
-// exactness contract and value-range requirements.
+// Runtime-dispatched GEMM micro-kernel for the fast path. See simd.hpp for
+// the tile contract and the exactness bounds.
 //
-// The library builds with plain -O2 (no -mavx2), so the AVX2 bodies are
+// The library builds with plain -O2 (no -mavx2), so the AVX2 body is
 // compiled per-function with __attribute__((target("avx2"))) and only ever
-// called after __builtin_cpu_supports("avx2") confirms the ISA. NEON is part
-// of the AArch64 baseline, so that variant needs no runtime check.
+// called after __builtin_cpu_supports("avx2") confirms the ISA.
 
 #include "common/simd.hpp"
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 
 #if defined(__x86_64__) || defined(_M_X64)
 #include <immintrin.h>
 #define RSNN_SIMD_X86 1
-#endif
-#if defined(__aarch64__)
-#include <arm_neon.h>
-#define RSNN_SIMD_NEON 1
 #endif
 
 namespace rsnn::common::simd {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Scalar reference kernels (always available; the forced-dispatch target).
+// Scalar body (always available; the forced-dispatch target). It sums in
+// int64, so it is exact for any digits and weights.
 // ---------------------------------------------------------------------------
 
-void axpy_code_i64_scalar(std::int64_t* acc, const std::int64_t* src,
-                          std::int64_t w, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) acc[i] += w * src[i];
+void gemm_tile_scalar(const std::uint8_t* const* a, std::int64_t row_stride,
+                      std::int64_t rows, std::int64_t groups,
+                      const std::int8_t* w, std::int64_t /*flush_groups*/,
+                      int shift, int mr, std::int64_t* out) {
+  for (int p = 0; p < mr; ++p) {
+    std::int64_t acc[kGemmCols] = {};
+    const std::int8_t* wg = w;
+    for (std::int64_t r = 0; r < rows; ++r) {
+      const std::uint8_t* ap = a[p] + r * row_stride;
+      for (std::int64_t g = 0; g < groups; ++g, ap += kGemmGroup) {
+        for (int n = 0; n < kGemmCols; ++n, wg += kGemmGroup)
+          acc[n] += ap[0] * wg[0] + ap[1] * wg[1] + ap[2] * wg[2] +
+                    ap[3] * wg[3];
+      }
+    }
+    const std::int64_t scale = std::int64_t{1} << shift;
+    for (int n = 0; n < kGemmCols; ++n) out[p * kGemmCols + n] += acc[n] * scale;
+  }
 }
 
-void axpy_w8_scalar(std::int64_t* acc, const std::int8_t* w, std::int64_t a,
-                    std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) acc[i] += a * w[i];
-}
-
-void add_i64_scalar(std::int64_t* acc, const std::int64_t* src,
-                    std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) acc[i] += src[i];
-}
-
-constexpr Kernels kScalarKernels{axpy_code_i64_scalar, axpy_w8_scalar,
-                                 add_i64_scalar, "scalar"};
+constexpr Kernels kScalarKernels{gemm_tile_scalar, "scalar"};
 
 // ---------------------------------------------------------------------------
-// AVX2 kernels. AVX2 has no 64x64 multiply, but every multiplier here fits in
-// int32 (see simd.hpp), so _mm256_mul_epi32 — which multiplies the low 32
-// bits of each 64-bit lane with sign extension — computes the exact product.
+// AVX2 body. A 64-byte weight group holds 16 channels x 4 K bytes; each half
+// (8 channels) is one ymm. Per pixel, the group's 4 digit bytes are broadcast
+// to every 32-bit lane, so maddubs + madd(ones) leaves channel c's 4-term dot
+// product in int32 lane c.
 // ---------------------------------------------------------------------------
 
 #if RSNN_SIMD_X86
 
-__attribute__((target("avx2"))) void axpy_code_i64_avx2(
-    std::int64_t* acc, const std::int64_t* src, std::int64_t w,
-    std::int64_t n) {
-  // src[i] is a nonnegative activation code < 2^31 and w fits int32, so the
-  // low-32 multiply of each 64-bit lane is the full product.
-  const __m256i vw = _mm256_set1_epi64x(w);
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m256i s0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    __m256i s1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i + 4));
-    __m256i a0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
-    __m256i a1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i + 4));
-    a0 = _mm256_add_epi64(a0, _mm256_mul_epi32(s0, vw));
-    a1 = _mm256_add_epi64(a1, _mm256_mul_epi32(s1, vw));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i), a0);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i + 4), a1);
+template <int MR>
+__attribute__((target("avx2"))) inline void flush_avx2(__m256i (&acc)[MR][2],
+                                                       int shift,
+                                                       std::int64_t* out) {
+  const __m128i count = _mm_cvtsi32_si128(shift);
+#pragma GCC unroll 4
+  for (int p = 0; p < MR; ++p) {
+#pragma GCC unroll 2
+    for (int h = 0; h < 2; ++h) {
+      std::int64_t* o = out + p * kGemmCols + h * 8;
+      const __m256i lo = _mm256_sll_epi64(
+          _mm256_cvtepi32_epi64(_mm256_castsi256_si128(acc[p][h])), count);
+      const __m256i hi = _mm256_sll_epi64(
+          _mm256_cvtepi32_epi64(_mm256_extracti128_si256(acc[p][h], 1)),
+          count);
+      _mm256_storeu_si256(
+          reinterpret_cast<__m256i*>(o),
+          _mm256_add_epi64(
+              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(o)), lo));
+      _mm256_storeu_si256(
+          reinterpret_cast<__m256i*>(o + 4),
+          _mm256_add_epi64(
+              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(o + 4)),
+              hi));
+      acc[p][h] = _mm256_setzero_si256();
+    }
   }
-  for (; i + 4 <= n; i += 4) {
-    __m256i s = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
-    a = _mm256_add_epi64(a, _mm256_mul_epi32(s, vw));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i), a);
-  }
-  for (; i < n; ++i) acc[i] += w * src[i];
 }
 
-__attribute__((target("avx2"))) void axpy_w8_avx2(std::int64_t* acc,
-                                                  const std::int8_t* w,
-                                                  std::int64_t a,
-                                                  std::int64_t n) {
-  // Eight weights per step: sign-extend the bytes to int32 lanes, multiply
-  // by the code in 32 bits (exact: |a * w[i]| < 2^31), then widen each half
-  // to int64 lanes before accumulating.
-  const __m256i va = _mm256_set1_epi32(static_cast<std::int32_t>(a));
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m128i w8 =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(w + i));
-    const __m256i p = _mm256_mullo_epi32(_mm256_cvtepi8_epi32(w8), va);
-    __m256i a0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
-    __m256i a1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i + 4));
-    const __m128i p_lo = _mm256_castsi256_si128(p);
-    const __m128i p_hi = _mm256_extracti128_si256(p, 1);
-    a0 = _mm256_add_epi64(a0, _mm256_cvtepi32_epi64(p_lo));
-    a1 = _mm256_add_epi64(a1, _mm256_cvtepi32_epi64(p_hi));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i), a0);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i + 4), a1);
+template <int MR>
+__attribute__((target("avx2"))) void gemm_tile_avx2_mr(
+    const std::uint8_t* const* a, std::int64_t row_stride, std::int64_t rows,
+    std::int64_t groups, const std::int8_t* w, std::int64_t flush_groups,
+    int shift, std::int64_t* out) {
+  const __m256i ones = _mm256_set1_epi16(1);
+  __m256i acc[MR][2];
+#pragma GCC unroll 4
+  for (int p = 0; p < MR; ++p) acc[p][0] = acc[p][1] = _mm256_setzero_si256();
+  std::int64_t left = flush_groups > 0 ? flush_groups : -1;
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const std::uint8_t* ap[MR];
+#pragma GCC unroll 4
+    for (int p = 0; p < MR; ++p) ap[p] = a[p] + r * row_stride;
+    for (std::int64_t g = 0; g < groups; ++g, w += kGemmCols * kGemmGroup) {
+      const __m256i w0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
+      const __m256i w1 =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 32));
+#pragma GCC unroll 4
+      for (int p = 0; p < MR; ++p) {
+        std::int32_t digits;
+        std::memcpy(&digits, ap[p] + g * kGemmGroup, sizeof digits);
+        const __m256i x = _mm256_set1_epi32(digits);
+        acc[p][0] = _mm256_add_epi32(
+            acc[p][0], _mm256_madd_epi16(_mm256_maddubs_epi16(x, w0), ones));
+        acc[p][1] = _mm256_add_epi32(
+            acc[p][1], _mm256_madd_epi16(_mm256_maddubs_epi16(x, w1), ones));
+      }
+      if (--left == 0) {
+        flush_avx2<MR>(acc, shift, out);
+        left = flush_groups;
+      }
+    }
   }
-  for (; i < n; ++i) acc[i] += a * w[i];
+  flush_avx2<MR>(acc, shift, out);
 }
 
-__attribute__((target("avx2"))) void add_i64_avx2(std::int64_t* acc,
-                                                  const std::int64_t* src,
-                                                  std::int64_t n) {
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i s = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i),
-                        _mm256_add_epi64(a, s));
+void gemm_tile_avx2(const std::uint8_t* const* a, std::int64_t row_stride,
+                    std::int64_t rows, std::int64_t groups,
+                    const std::int8_t* w, std::int64_t flush_groups, int shift,
+                    int mr, std::int64_t* out) {
+  switch (mr) {
+    case 1:
+      return gemm_tile_avx2_mr<1>(a, row_stride, rows, groups, w,
+                                  flush_groups, shift, out);
+    case 2:
+      return gemm_tile_avx2_mr<2>(a, row_stride, rows, groups, w,
+                                  flush_groups, shift, out);
+    case 3:
+      return gemm_tile_avx2_mr<3>(a, row_stride, rows, groups, w,
+                                  flush_groups, shift, out);
+    default:
+      return gemm_tile_avx2_mr<4>(a, row_stride, rows, groups, w,
+                                  flush_groups, shift, out);
   }
-  for (; i < n; ++i) acc[i] += src[i];
 }
 
-constexpr Kernels kAvx2Kernels{axpy_code_i64_avx2, axpy_w8_avx2, add_i64_avx2,
-                               "avx2"};
+constexpr Kernels kAvx2Kernels{gemm_tile_avx2, "avx2"};
 
 #endif  // RSNN_SIMD_X86
-
-// ---------------------------------------------------------------------------
-// NEON kernels (AArch64 baseline ISA — no runtime detection needed).
-// ---------------------------------------------------------------------------
-
-#if RSNN_SIMD_NEON
-
-void axpy_code_i64_neon(std::int64_t* acc, const std::int64_t* src,
-                        std::int64_t w, std::int64_t n) {
-  // Codes are nonnegative < 2^31 and w fits int32: narrow the 64-bit source
-  // lanes to 32 bits, do a widening 32x32 multiply-accumulate.
-  const std::int32_t w32 = static_cast<std::int32_t>(w);
-  const int32x2_t vw = vdup_n_s32(w32);
-  std::int64_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    int64x2_t s = vld1q_s64(src + i);
-    int64x2_t a = vld1q_s64(acc + i);
-    int32x2_t s32 = vmovn_s64(s);
-    a = vmlal_s32(a, s32, vw);
-    vst1q_s64(acc + i, a);
-  }
-  for (; i < n; ++i) acc[i] += w * src[i];
-}
-
-void axpy_w8_neon(std::int64_t* acc, const std::int8_t* w, std::int64_t a,
-                  std::int64_t n) {
-  // Eight weights per step: widen the bytes to int16 then int32 lanes and
-  // do widening 32x32 multiply-accumulates into four int64x2 accumulators.
-  const int32x2_t va = vdup_n_s32(static_cast<std::int32_t>(a));
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const int16x8_t w16 = vmovl_s8(vld1_s8(w + i));
-    const int32x4_t lo = vmovl_s16(vget_low_s16(w16));
-    const int32x4_t hi = vmovl_s16(vget_high_s16(w16));
-    vst1q_s64(acc + i, vmlal_s32(vld1q_s64(acc + i), vget_low_s32(lo), va));
-    vst1q_s64(acc + i + 2,
-              vmlal_s32(vld1q_s64(acc + i + 2), vget_high_s32(lo), va));
-    vst1q_s64(acc + i + 4,
-              vmlal_s32(vld1q_s64(acc + i + 4), vget_low_s32(hi), va));
-    vst1q_s64(acc + i + 6,
-              vmlal_s32(vld1q_s64(acc + i + 6), vget_high_s32(hi), va));
-  }
-  for (; i < n; ++i) acc[i] += a * w[i];
-}
-
-void add_i64_neon(std::int64_t* acc, const std::int64_t* src, std::int64_t n) {
-  std::int64_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_s64(acc + i, vaddq_s64(vld1q_s64(acc + i), vld1q_s64(src + i)));
-  }
-  for (; i < n; ++i) acc[i] += src[i];
-}
-
-constexpr Kernels kNeonKernels{axpy_code_i64_neon, axpy_w8_neon, add_i64_neon,
-                               "neon"};
-
-#endif  // RSNN_SIMD_NEON
 
 // ---------------------------------------------------------------------------
 // Dispatch.
@@ -192,8 +155,6 @@ const Kernels& best_kernels() {
     return __builtin_cpu_supports("avx2") ? &kAvx2Kernels : &kScalarKernels;
   }();
   return *best;
-#elif RSNN_SIMD_NEON
-  return kNeonKernels;
 #else
   return kScalarKernels;
 #endif

@@ -1,33 +1,29 @@
-// SIMD dispatch for the simulator fast path's integer inner loops.
+// SIMD dispatch for the simulator fast path's integer GEMM micro-kernel.
 //
-// The fast-path kernels (hw/fast_path) spend their time in three tiny
-// integer primitives: saxpy over int64 activation codes, saxpy with int8
-// prepared weights widened into int64 accumulators, and elementwise int64
-// accumulation. This module provides hand-vectorized implementations of
-// those primitives (AVX2 on x86-64, NEON on AArch64) behind one function-
-// pointer table resolved at runtime from CPUID, with a portable scalar
-// fallback that is always available.
+// Every conv and linear op of the fast path (hw/fast_path) runs as one exact
+// integer GEMM: activation codes are split into unsigned d-bit radix digits
+// (the paper's radix decomposition, at base 2^d instead of 2) and multiplied
+// against the int8 prepared weights. This module provides the GEMM's
+// register tile — kGemmRows output pixels x kGemmCols output channels —
+// hand-vectorized for AVX2 behind a function pointer resolved at runtime
+// from CPUID, with a portable scalar body that is always available. Other
+// targets (aarch64 included) run the scalar body.
 //
-// Exactness contract: every implementation computes the same full-precision
-// integer arithmetic — SIMD lanes only reorder independent element updates,
-// and int64 addition of in-range products is exact — so scalar and vector
-// kernels are bit-identical (tests/test_fastpath.cpp asserts this under
-// forced dispatch).
-//
-// Value ranges: `axpy_code_i64` requires the source elements and the scalar
-// multiplier to fit in int32 (activation codes are unsigned T-bit values and
-// weights are `weight_bits`-bit signed — both orders of magnitude inside
-// that bound); `axpy_w8` requires |a * w[i]| to fit in int32, because the
-// vector bodies multiply in 32-bit lanes. Nothing checks that per call; the
-// bound is established once, upstream: `quant::quantize` and
-// `quant::load_quantized` reject T outside 1..16 and weight_bits outside
-// 1..8, and `hw::prepare_fast_path` refuses T outside 1..16 and any weight
-// outside int8 (so a hand-built network cannot slip past either). A code
-// is therefore at most 2^16 - 1 and |w| at most 128, and
-// (2^16 - 1) * 128 < 2^31.
+// Exactness contract. The AVX2 body multiplies with `maddubs` (u8 x s8, each
+// adjacent pair summed in saturating int16), sums the pairs of a 4-byte group
+// into int32 with `madd`, and accumulates groups in int32. It is exact when
+//   * 2 * max_digit * max|w| <= 32767 (no int16 saturation), and
+//   * the int32 sum of `flush_groups` groups cannot overflow, i.e.
+//     flush_groups * 4 * max_digit * max|w| < 2^31; the kernel adds its
+//     int32 sums into the int64 output every `flush_groups` groups.
+// hw::prepare_fast_path picks the digit width and flush interval per op from
+// the op's weight range so both hold (d = 8 when max|w| <= 64, else d = 7).
+// The scalar body accumulates in int64 and is exact for any inputs, so
+// tests/test_fastpath.cpp's vector-vs-scalar comparisons also check that
+// prepare's bounds hold.
 //
 // Dispatch control:
-//   * RSNN_FORCE_SCALAR=1 in the environment forces the scalar kernels for
+//   * RSNN_FORCE_SCALAR=1 in the environment forces the scalar kernel for
 //     the whole process (the CI fallback job runs the suite this way);
 //   * ScopedForceScalar flips dispatch from a test, restoring it on scope
 //     exit, so one process can compare vector vs scalar results.
@@ -37,18 +33,28 @@
 
 namespace rsnn::common::simd {
 
-/// The three fast-path primitives, as one dispatch table.
+/// Output pixels (GEMM rows) per register tile.
+inline constexpr int kGemmRows = 4;
+/// Output channels (GEMM columns) per register tile.
+inline constexpr int kGemmCols = 16;
+/// K bytes per group: one `maddubs` + `madd` reduces a group of 4.
+inline constexpr int kGemmGroup = 4;
+
+/// The fast path's kernel, as a dispatch table.
 struct Kernels {
-  /// acc[i] += w * src[i]. Requires src[i] and w to fit in int32 (the
-  /// product is computed exactly in int64).
-  void (*axpy_code_i64)(std::int64_t* acc, const std::int64_t* src,
-                        std::int64_t w, std::int64_t n);
-  /// acc[i] += a * w[i] with int8 weights. Requires |a * w[i]| < 2^31.
-  void (*axpy_w8)(std::int64_t* acc, const std::int8_t* w, std::int64_t a,
-                  std::int64_t n);
-  /// acc[i] += src[i] (exact int64 addition).
-  void (*add_i64)(std::int64_t* acc, const std::int64_t* src, std::int64_t n);
-  /// Name of the instruction set these kernels use: "avx2", "neon", "scalar".
+  /// One register tile of the GEMM. For p < mr (1..kGemmRows) and
+  /// n < kGemmCols:
+  ///   out[p * kGemmCols + n] += (sum over r < rows, g < groups, j < 4 of
+  ///       a[p][r * row_stride + g * 4 + j] * w[((r * groups + g) *
+  ///       kGemmCols + n) * 4 + j]) << shift
+  /// `a[p]` points at pixel p's digit bytes; `w` is one tile's packed
+  /// weights. `flush_groups` > 0 bounds how many groups accumulate in int32
+  /// before they are added to `out`; 0 means the whole K fits (see above).
+  void (*gemm_tile)(const std::uint8_t* const* a, std::int64_t row_stride,
+                    std::int64_t rows, std::int64_t groups,
+                    const std::int8_t* w, std::int64_t flush_groups,
+                    int shift, int mr, std::int64_t* out);
+  /// Name of the instruction set the kernel uses: "avx2" or "scalar".
   const char* isa;
 };
 
@@ -62,12 +68,12 @@ const Kernels& scalar_kernels();
 /// ISA of the table kernels() currently returns.
 inline const char* active_isa() { return kernels().isa; }
 
-/// ISA of the best vector kernels this CPU supports, ignoring any forced-
-/// scalar override ("avx2", "neon", or "scalar" when none apply). What the
-/// bench metadata records as "detected".
+/// ISA of the best vector kernel this CPU supports, ignoring any forced-
+/// scalar override ("avx2", or "scalar" when none applies). What the bench
+/// metadata records as "detected".
 const char* detected_isa();
 
-/// True when dispatch is currently forced to the scalar kernels (the
+/// True when dispatch is currently forced to the scalar kernel (the
 /// RSNN_FORCE_SCALAR=1 environment knob, or an active ScopedForceScalar).
 bool force_scalar_active();
 

@@ -57,28 +57,12 @@ struct TimingParams {
   int writeback_cycles_per_row = 1;
 };
 
-/// Dataflow layout a fast-path conv kernel iterates in. The inter-op
-/// activation representation is always CHW (the buffer/cut contract); the
-/// layout only selects the loop order and weight packing *inside* one op.
-enum class DataLayout {
-  kChw,  ///< per-output-channel plane accumulation (few channels)
-  kHwc,  ///< pixel-major with contiguous channel inner loops (many channels)
-};
-
-/// How the lowering pass picks per-op fast-path layouts.
-enum class LayoutPolicy {
-  kAuto,      ///< heuristic per op (HWC once channel counts amortize repacking)
-  kForceChw,  ///< every conv runs the CHW kernel
-  kForceHwc,  ///< every conv runs the HWC kernel
-};
-
 /// Configuration of the simulator's code-domain fast path (SimMode
-/// kCycleAccurate). Purely a host-simulation concern: neither option changes
-/// logits, cycles, adder ops or traffic — the equivalence suite sweeps every
-/// combination against the stepped dataflow. A fast-path run always executes
+/// kCycleAccurate). Purely a host-simulation concern: it never changes
+/// logits, cycles, adder ops or traffic — the equivalence suite runs both
+/// settings against the stepped dataflow. A fast-path run always executes
 /// on its caller's thread.
 struct FastPathOptions {
-  LayoutPolicy layout = LayoutPolicy::kAuto;
   bool fuse_conv_pool = true;  ///< run conv+pool pairs as one fused pass
 };
 

@@ -168,30 +168,15 @@ LayerProgram lower(const quant::QuantizedNetwork& qnet,
 
 namespace {
 
-/// Annotate the fast-path execution plan: per-conv kernel layout (from the
-/// config's policy, or a channel-count heuristic under kAuto) and conv+pool
-/// fusion for adjacent pairs. The plan only directs *how* the fast path
-/// iterates; the accounting always comes from the latency annotations and
-/// the exact activity rules, so every plan is bit-identical.
+/// Annotate the fast-path execution plan: conv+pool fusion for adjacent
+/// pairs. The plan only directs *how* the fast path iterates; the
+/// accounting always comes from the latency annotations and the exact
+/// activity rules, so fused and unfused runs are bit-identical.
 void plan_fast_path(std::vector<LayerOp>& ops,
                     const hw::FastPathOptions& options) {
   for (std::size_t i = 0; i < ops.size(); ++i) {
     LayerOp& op = ops[i];
     if (op.kind != OpKind::kConv) continue;
-    switch (options.layout) {
-      case hw::LayoutPolicy::kForceChw:
-        op.fast_layout = hw::DataLayout::kChw;
-        break;
-      case hw::LayoutPolicy::kForceHwc:
-        op.fast_layout = hw::DataLayout::kHwc;
-        break;
-      case hw::LayoutPolicy::kAuto:
-        // HWC pays one input repack to get contiguous channel inner loops;
-        // that amortizes once there are enough input channels per pixel.
-        op.fast_layout = op.conv->in_channels >= 8 ? hw::DataLayout::kHwc
-                                                   : hw::DataLayout::kChw;
-        break;
-    }
     // A requantizing conv followed by a pool runs as one fused pass (the
     // pool consumes the conv codes before they round-trip through a
     // buffer). The executor still emits both ops' stats records.

@@ -76,7 +76,6 @@ struct LayerOp {
   // Fast-path execution plan (simulator-only; never changes what is
   // counted). Chosen by the lowering pass from the config's
   // hw::FastPathOptions:
-  hw::DataLayout fast_layout = hw::DataLayout::kChw;  ///< conv kernel layout
   bool fuse_with_next = false;   ///< conv op fused with the following pool
 
   const char* name() const { return op_kind_name(kind); }

@@ -1,8 +1,8 @@
 // The simulator fast path (hw/fast_path) against the golden stepped
 // dataflow. The accounting contract is non-negotiable: logits, cycles,
 // adder ops and memory traffic must be bit-identical to SimMode::kStepped
-// for every layout policy x fusion x geometry combination — the fast path
-// changes how the simulator iterates, never what it counts.
+// for every fusion x geometry combination — the fast path changes how the
+// simulator iterates, never what it counts.
 //
 // Also covered here: the Arena bump allocator, the zero-allocation warm
 // batched property, and segment-scoped fast-path execution (a fused
@@ -43,18 +43,13 @@ using rsnn::testing::expect_bit_identical;
 using rsnn::testing::random_image;
 
 struct PlanVariant {
-  LayoutPolicy layout;
   bool fuse;
   const char* label;
 };
 
 constexpr PlanVariant kPlanVariants[] = {
-    {LayoutPolicy::kAuto, true, "auto_fused"},
-    {LayoutPolicy::kAuto, false, "auto_unfused"},
-    {LayoutPolicy::kForceChw, true, "chw_fused"},
-    {LayoutPolicy::kForceChw, false, "chw_unfused"},
-    {LayoutPolicy::kForceHwc, true, "hwc_fused"},
-    {LayoutPolicy::kForceHwc, false, "hwc_unfused"},
+    {true, "fused"},
+    {false, "unfused"},
 };
 
 // ------------------------------------------------------------------ Arena
@@ -95,7 +90,7 @@ TEST(Arena, BlocksAreMaxAligned) {
   }
 }
 
-// ------------------------------------- layout x fusion sweeps, LeNet T=4
+// -------------------------------------------- fusion sweep, LeNet T=4
 
 TEST(FastPath, LeNetAllPlanVariantsBitIdenticalToStepped) {
   Rng rng(711);
@@ -115,7 +110,6 @@ TEST(FastPath, LeNetAllPlanVariantsBitIdenticalToStepped) {
   for (const PlanVariant& variant : kPlanVariants) {
     SCOPED_TRACE(variant.label);
     AcceleratorConfig cfg = lenet_reference_config();
-    cfg.fast_path.layout = variant.layout;
     cfg.fast_path.fuse_conv_pool = variant.fuse;
     const Accelerator accel(cfg, qnet);
     expect_bit_identical(accel.run_codes(codes, SimMode::kCycleAccurate),
@@ -152,11 +146,10 @@ TEST(FastPath, StridePaddingTilingGeometriesMatchStepped) {
     const Accelerator accel(cfg, qnet);
     const AccelRunResult golden = accel.run_codes(codes, SimMode::kStepped);
 
-    for (const LayoutPolicy layout :
-         {LayoutPolicy::kForceChw, LayoutPolicy::kForceHwc}) {
-      SCOPED_TRACE(layout == LayoutPolicy::kForceChw ? "chw" : "hwc");
+    for (const PlanVariant& variant : kPlanVariants) {
+      SCOPED_TRACE(variant.label);
       AcceleratorConfig fast_cfg = cfg;
-      fast_cfg.fast_path.layout = layout;
+      fast_cfg.fast_path.fuse_conv_pool = variant.fuse;
       const Accelerator fast_accel(fast_cfg, qnet);
       expect_bit_identical(
           fast_accel.run_codes(codes, SimMode::kCycleAccurate), golden);
@@ -166,7 +159,7 @@ TEST(FastPath, StridePaddingTilingGeometriesMatchStepped) {
 
 // ----------------------------------------------- VGG-11 (DRAM streaming)
 
-TEST(FastPath, Vgg11BothLayoutsBitIdenticalToStepped) {
+TEST(FastPath, Vgg11FusedAndUnfusedBitIdenticalToStepped) {
   Rng rng(37);
   nn::Network vgg = nn::make_vgg11();
   vgg.init_params(rng);
@@ -180,11 +173,10 @@ TEST(FastPath, Vgg11BothLayoutsBitIdenticalToStepped) {
   const AccelRunResult golden =
       golden_accel.run_codes(codes, SimMode::kStepped);
 
-  for (const LayoutPolicy layout :
-       {LayoutPolicy::kForceChw, LayoutPolicy::kForceHwc}) {
-    SCOPED_TRACE(layout == LayoutPolicy::kForceChw ? "chw" : "hwc");
+  for (const PlanVariant& variant : kPlanVariants) {
+    SCOPED_TRACE(variant.label);
     AcceleratorConfig cfg = vgg11_table3_config();
-    cfg.fast_path.layout = layout;
+    cfg.fast_path.fuse_conv_pool = variant.fuse;
     const Accelerator accel(cfg, qnet);
     expect_bit_identical(accel.run_codes(codes, SimMode::kCycleAccurate),
                          golden);
@@ -236,24 +228,42 @@ TEST(FastPathPrepared, Vgg11PackHoldsOneBytePerRepackedWeight) {
   vgg.init_params(rng);
   const quant::QuantizedNetwork qnet =
       quant::quantize(vgg, quant::QuantizeConfig{3, 3});
-  // Forced HWC repacks every conv, so every weight of the network is packed.
-  AcceleratorConfig cfg = vgg11_table3_config();
-  cfg.fast_path.layout = LayoutPolicy::kForceHwc;
-  const ir::LayerProgram program = ir::lower(qnet, cfg);
+  const ir::LayerProgram program = ir::lower(qnet, vgg11_table3_config());
   const FastPrepared prep = prepare_fast_path(program);
 
   using PackedWeight = decltype(FastPrepared::OpPrep::weights)::value_type;
   static_assert(sizeof(PackedWeight) == 1, "one byte per prepared weight");
+  constexpr std::int64_t kCols = common::simd::kGemmCols;
+  constexpr std::int64_t kGroup = common::simd::kGemmGroup;
   std::int64_t weights = 0;
   for (std::size_t i = 0; i < program.size(); ++i) {
     SCOPED_TRACE("op " + std::to_string(i));
     const ir::LayerOp& op = program.op(i);
-    std::int64_t op_weights = 0;
-    if (op.kind == ir::OpKind::kConv) op_weights = op.conv->weight.numel();
-    if (op.kind == ir::OpKind::kLinear) op_weights = op.linear->weight.numel();
+    // One byte per weight, with each kernel row's k * cin bytes padded to
+    // whole 4-byte groups and the output channels to whole 16-wide tiles.
+    std::int64_t op_weights = 0, rows = 0, row_bytes = 0, cout = 0;
+    if (op.kind == ir::OpKind::kConv) {
+      op_weights = op.conv->weight.numel();
+      rows = op.conv->kernel;
+      row_bytes = op.conv->kernel * op.conv->in_channels;
+      cout = op.conv->out_channels;
+    }
+    if (op.kind == ir::OpKind::kLinear) {
+      op_weights = op.linear->weight.numel();
+      rows = 1;
+      row_bytes = op.linear->in_features;
+      cout = op.linear->out_features;
+    }
+    EXPECT_EQ(op_weights, rows * row_bytes * cout);
+    const std::int64_t padded_cout = (cout + kCols - 1) / kCols * kCols;
+    const std::int64_t padded_row = (row_bytes + kGroup - 1) / kGroup * kGroup;
+    const std::int64_t padded = padded_cout * rows * padded_row;
     EXPECT_EQ(static_cast<std::int64_t>(prep.ops[i].weights.size() *
                                         sizeof(PackedWeight)),
-              op_weights);
+              padded);
+    // VGG-11's widths are multiples of 16 and its rows of 4 bytes, except
+    // the 3-channel first conv (9-byte rows) and the 10-class output layer.
+    if (i != 0 && cout % kCols == 0) EXPECT_EQ(padded, op_weights);
     weights += op_weights;
   }
   EXPECT_GT(weights, 20'000'000) << "VGG-11 carries ~28M weights";
@@ -268,11 +278,10 @@ TEST(FastPathPrepared, WeightOutsideInt8OrWideCodesAreRefused) {
   cfg.conv = ConvUnitGeometry{16, 3, 24};
   cfg.pool = PoolUnitGeometry{8, 2, 16};
   cfg.linear = LinearUnitGeometry{8, 24};
-  cfg.fast_path.layout = LayoutPolicy::kForceHwc;
   ASSERT_NO_THROW(prepare_fast_path(ir::lower(valid, cfg)));
 
   // A hand-built network around the quantizer: one weight of 200 in the
-  // conv (HWC pack) or in the linear layer (transposed pack).
+  // conv or in the linear layer.
   for (const bool in_conv : {true, false}) {
     SCOPED_TRACE(in_conv ? "conv" : "linear");
     quant::QuantizedNetwork qnet = valid;
@@ -286,7 +295,7 @@ TEST(FastPathPrepared, WeightOutsideInt8OrWideCodesAreRefused) {
     EXPECT_THROW(prepare_fast_path(program), ContractViolation);
   }
 
-  // Codes wider than 16 bits would overflow the kernels' 32-bit multiply.
+  // Codes wider than 16 bits do not fit the fast path's uint16 codes.
   quant::QuantizedNetwork wide = valid;
   wide.time_bits = 17;
   const ir::LayerProgram wide_program = ir::lower(wide, cfg);
@@ -298,43 +307,78 @@ TEST(FastPathPrepared, WeightOutsideInt8OrWideCodesAreRefused) {
 TEST(Simd, KernelsMatchScalarOnRandomVectors) {
   const common::simd::Kernels& best = common::simd::kernels();
   const common::simd::Kernels& scalar = common::simd::scalar_kernels();
+  constexpr int kRows = common::simd::kGemmRows;
+  constexpr int kCols = common::simd::kGemmCols;
+  constexpr int kGroup = common::simd::kGemmGroup;
   Rng rng(321);
-  // The largest code a T <= 16 network produces: with the int8 weight
-  // extremes it sets the |a * w| < 2^31 bound axpy_w8 multiplies within.
-  constexpr std::int64_t kMaxCode = (std::int64_t{1} << 16) - 1;
-  // Odd lengths cover every remainder path of the vector kernels.
-  for (const std::int64_t n : {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 31, 70}) {
-    SCOPED_TRACE("n=" + std::to_string(n));
-    std::vector<std::int64_t> acc_a(n), acc_b(n), src(n);
-    std::vector<std::int8_t> w8(n), extremes(n);
-    for (std::int64_t i = 0; i < n; ++i) {
-      acc_a[i] = acc_b[i] = rng.next_int(-1000, 1000);
-      src[i] = rng.next_int(0, 255);  // activation-code range
-      w8[i] = static_cast<std::int8_t>(rng.next_int(-128, 127));
-      extremes[i] = static_cast<std::int8_t>(i % 2 == 0 ? -128 : 127);
-    }
-    const std::int64_t w = rng.next_int(-4, 3);
-    best.axpy_code_i64(acc_a.data(), src.data(), w, n);
-    scalar.axpy_code_i64(acc_b.data(), src.data(), w, n);
-    EXPECT_EQ(acc_a, acc_b);
-    const std::int64_t random_code = rng.next_int(0, kMaxCode);
-    for (const std::int64_t a : {std::int64_t{200}, kMaxCode, random_code}) {
-      SCOPED_TRACE("a=" + std::to_string(a));
-      for (const auto* weights : {&w8, &extremes}) {
-        best.axpy_w8(acc_a.data(), weights->data(), a, n);
-        scalar.axpy_w8(acc_b.data(), weights->data(), a, n);
-        EXPECT_EQ(acc_a, acc_b);
+
+  struct Case {
+    int digit_bits;       // digits span [0, 2^d)
+    std::int32_t max_w;   // weights span [-max_w, max_w] (or int8's ends)
+    bool extremes;        // digits at 2^d - 1, weights at the range's ends
+    std::int64_t flush;   // int32 flush interval; 0 = never
+    const char* label;
+  };
+  const Case cases[] = {
+      {8, 64, false, 0, "d8_random"},
+      {8, 64, true, 0, "d8_digits_255_weights_pm64"},
+      {7, 127, true, 0, "d7_digits_127_weights_int8_ends"},
+      {7, 127, false, 0, "d7_random"},
+      // The int32-to-int64 flush path: prepare sets it only for K beyond
+      // ~33k groups, so the kernel is driven with a flush every 3 groups.
+      {7, 127, true, 3, "d7_flush_every_3_groups"},
+  };
+  // M remainders (mr 1..4), K remainders (rows x groups), digit shifts.
+  for (const Case& c : cases) {
+    for (int mr = 1; mr <= kRows; ++mr) {
+      for (const std::int64_t rows : {1, 3}) {
+        for (const std::int64_t groups : {1, 2, 5, 40}) {
+          SCOPED_TRACE(std::string(c.label) + " mr=" + std::to_string(mr) +
+                       " rows=" + std::to_string(rows) +
+                       " groups=" + std::to_string(groups));
+          const int max_digit = (1 << c.digit_bits) - 1;
+          const std::int64_t row_stride = groups * kGroup + 3;
+          std::vector<std::uint8_t> digits(
+              static_cast<std::size_t>(kRows * rows * row_stride));
+          for (std::size_t i = 0; i < digits.size(); ++i)
+            digits[i] = static_cast<std::uint8_t>(
+                c.extremes ? max_digit : rng.next_int(0, max_digit));
+          std::vector<std::int8_t> w(
+              static_cast<std::size_t>(rows * groups * kCols * kGroup));
+          for (std::size_t i = 0; i < w.size(); ++i) {
+            const int lo = c.max_w == 127 && c.extremes ? -128 : -c.max_w;
+            w[i] = static_cast<std::int8_t>(
+                c.extremes ? (i % 3 == 0 ? c.max_w : lo)
+                           : rng.next_int(lo, c.max_w));
+          }
+          const std::uint8_t* a[kRows];
+          for (int p = 0; p < kRows; ++p)
+            a[p] = digits.data() + p * rows * row_stride;
+          for (const int shift : {0, c.digit_bits}) {
+            std::vector<std::int64_t> out_best(kRows * kCols), out_ref;
+            for (auto& v : out_best) v = rng.next_int(-1000, 1000);
+            out_ref = out_best;
+            best.gemm_tile(a, row_stride, rows, groups, w.data(), c.flush,
+                           shift, mr, out_best.data());
+            scalar.gemm_tile(a, row_stride, rows, groups, w.data(), c.flush,
+                             shift, mr, out_ref.data());
+            EXPECT_EQ(out_best, out_ref) << "shift=" << shift;
+          }
+        }
       }
     }
-    // The extreme products land exactly: -128 and 127 times 2^16 - 1.
-    std::vector<std::int64_t> zero(n, 0);
-    best.axpy_w8(zero.data(), extremes.data(), kMaxCode, n);
-    EXPECT_EQ(zero[0], -128 * kMaxCode);
-    if (n > 1) EXPECT_EQ(zero[1], 127 * kMaxCode);
-    best.add_i64(acc_a.data(), src.data(), n);
-    scalar.add_i64(acc_b.data(), src.data(), n);
-    EXPECT_EQ(acc_a, acc_b);
   }
+
+  // The scalar body is the exact reference: 2^8 - 1 digits against a
+  // weight of 64 sum to 4 * 255 * 64 per group, shifted by the digit.
+  const std::vector<std::uint8_t> ones(kGroup * 4, 255);
+  const std::vector<std::int8_t> w64(kCols * kGroup, 64);
+  const std::uint8_t* a[kRows] = {ones.data(), ones.data(), ones.data(),
+                                  ones.data()};
+  std::vector<std::int64_t> out(kRows * kCols, 0);
+  best.gemm_tile(a, kGroup, 1, 1, w64.data(), 0, 8, kRows, out.data());
+  EXPECT_EQ(out[0], std::int64_t{4} * 255 * 64 * 256);
+  EXPECT_EQ(out[kRows * kCols - 1], std::int64_t{4} * 255 * 64 * 256);
 }
 
 TEST(Simd, ScopedForceScalarSwitchesDispatch) {
@@ -360,7 +404,6 @@ TEST(FastPath, SimdAndScalarDispatchBitIdentical) {
   for (const PlanVariant& variant : kPlanVariants) {
     SCOPED_TRACE(variant.label);
     AcceleratorConfig cfg = lenet_reference_config();
-    cfg.fast_path.layout = variant.layout;
     cfg.fast_path.fuse_conv_pool = variant.fuse;
     const Accelerator accel(cfg, qnet);
     const AccelRunResult vec = accel.run_codes(codes, SimMode::kCycleAccurate);
@@ -416,7 +459,6 @@ TEST(FastPathBatched, LeNetAllPlanVariantsMatchSequential) {
   for (const PlanVariant& variant : kPlanVariants) {
     SCOPED_TRACE(variant.label);
     AcceleratorConfig cfg = lenet_reference_config();
-    cfg.fast_path.layout = variant.layout;
     cfg.fast_path.fuse_conv_pool = variant.fuse;
     const Accelerator accel(cfg, qnet);
     expect_batched_matches_sequential(accel, codes, {1, 3, 8},
@@ -528,13 +570,10 @@ TEST(FastPathShared, AcceleratorsOverSameNetworkShareOnePack) {
   EXPECT_EQ(fast_prepared_build_count() - before, 1u)
       << "two accelerators over the same program must build exactly once";
 
-  // A different fast-path plan is a different pack: sharing keys on the
-  // prepared content, not just the network.
-  AcceleratorConfig other = cfg;
-  other.fast_path.layout = cfg.fast_path.layout == LayoutPolicy::kForceChw
-                               ? LayoutPolicy::kForceHwc
-                               : LayoutPolicy::kForceChw;
-  const Accelerator c(other, qnet);
+  // Another network with the same weights is a different pack: sharing
+  // keys on the weights' identity, not on their values.
+  const quant::QuantizedNetwork copy = qnet;
+  const Accelerator c(cfg, copy);
   EXPECT_NE(c.fast_prepared_shared().get(), pa.get());
 }
 
@@ -586,24 +625,6 @@ TEST(FastPath, SteppedEngineIsRegisteredEverywhere) {
   for (const engine::EngineKind kind : engine::all_engines())
     found = found || kind == engine::EngineKind::kStepped;
   EXPECT_TRUE(found);
-}
-
-TEST(FastPath, AutoLayoutPlansPerOp) {
-  Rng rng(2024);
-  nn::Network lenet = nn::make_lenet5();
-  lenet.init_params(rng);
-  const quant::QuantizedNetwork qnet =
-      quant::quantize(lenet, quant::QuantizeConfig{3, 4});
-  const ir::LayerProgram program = ir::lower(qnet, lenet_reference_config());
-  for (const ir::LayerOp& op : program.ops()) {
-    if (op.kind != ir::OpKind::kConv) {
-      EXPECT_FALSE(op.fuse_with_next);  // only conv ops lead a fused pair
-      continue;
-    }
-    const DataLayout expected = op.conv->in_channels >= 8 ? DataLayout::kHwc
-                                                          : DataLayout::kChw;
-    EXPECT_EQ(op.fast_layout, expected);
-  }
 }
 
 }  // namespace

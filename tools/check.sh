@@ -92,7 +92,7 @@ fi
 # 1b. Forced-scalar dispatch: rerun the SIMD-sensitive suites on the same
 #     Release binaries with RSNN_FORCE_SCALAR=1, so the scalar fallback of
 #     the vector kernels stays bit-identical on every machine, not just
-#     ones without AVX2/NEON.
+#     ones without AVX2.
 echo "==== [Release] forced-scalar dispatch (RSNN_FORCE_SCALAR=1) ===="
 if ! RSNN_FORCE_SCALAR=1 ctest --test-dir build-check-release \
     --output-on-failure -j "$JOBS" \
