@@ -126,15 +126,20 @@ ServingPool::ServingPool(const ir::LayerProgram& program, EngineKind kind,
     RSNN_REQUIRE(options_.max_batch >= 1,
                  "batch policy needs max_batch >= 1, got "
                      << options_.max_batch);
-    RSNN_REQUIRE(options_.max_wait_ms >= 0.0,
-                 "batch policy needs max_wait_ms >= 0, got "
-                     << options_.max_wait_ms);
   }
+  // The batch window and the retry backoff reach ms_duration(), whose
+  // steady_clock conversion must not overflow.
+  RSNN_REQUIRE(options_.max_wait_ms >= 0.0 &&
+                   options_.max_wait_ms <= kMaxDeadlineMs,
+               "max_wait_ms must be in [0, " << kMaxDeadlineMs << "], got "
+                                             << options_.max_wait_ms);
   RSNN_REQUIRE(options_.max_retries >= 0,
                "max_retries must be >= 0, got " << options_.max_retries);
   RSNN_REQUIRE(options_.backoff_base_ms >= 0.0 &&
-                   options_.backoff_cap_ms >= options_.backoff_base_ms,
-               "retry backoff needs 0 <= base <= cap, got base "
+                   options_.backoff_cap_ms >= options_.backoff_base_ms &&
+                   options_.backoff_cap_ms <= kMaxDeadlineMs,
+               "retry backoff needs 0 <= base <= cap <= " << kMaxDeadlineMs
+                                                          << ", got base "
                    << options_.backoff_base_ms << " cap "
                    << options_.backoff_cap_ms);
   RSNN_REQUIRE(options_.stall_timeout_ms >= 0.0,
@@ -227,7 +232,7 @@ void ServingPool::resolve(Queued&& request, ServingResult&& outcome) {
     case RequestStatus::kOk: {
       ++stats_.completed;
       ++pc.ok;
-      latencies_ms_.push_back(
+      latencies_.record(
           std::chrono::duration_cast<
               std::chrono::duration<double, std::milli>>(now -
                                                          request.admitted)
@@ -698,20 +703,11 @@ void ServingPool::replica_main(std::size_t replica_index) {
   }
 }
 
-namespace {
-double percentile(std::vector<double> sorted_samples, double q) {
-  if (sorted_samples.empty()) return 0.0;
-  const auto rank = static_cast<std::size_t>(
-      q * static_cast<double>(sorted_samples.size() - 1));
-  return sorted_samples[rank];
-}
-}  // namespace
-
 void ServingPool::reset_stats() {
   const std::lock_guard<std::mutex> lock(mutex_);
   stats_ = ServingStats{};
   stats_.per_replica.assign(engines_.size(), 0);
-  latencies_ms_.clear();
+  latencies_.clear();
   dispatched_requests_ = 0;
   saw_admit_ = false;
 }
@@ -721,7 +717,8 @@ ServingStats ServingPool::stats() const {
   ServingStats out = stats_;
   out.replica_health = health_;
   out.active_replicas = active_replicas_locked();
-  std::vector<double> samples = latencies_ms_;
+  out.p50_latency_ms = latencies_.quantile_ms(0.50);
+  out.p99_latency_ms = latencies_.quantile_ms(0.99);
   const std::int64_t dispatched = dispatched_requests_;
   const bool windowed = saw_admit_ && (out.completed + out.failed) > 0;
   const double wall_s =
@@ -731,9 +728,6 @@ ServingStats ServingPool::stats() const {
                : 0.0;
   lock.unlock();
 
-  std::sort(samples.begin(), samples.end());
-  out.p50_latency_ms = percentile(samples, 0.50);
-  out.p99_latency_ms = percentile(samples, 0.99);
   out.mean_batch = out.dispatches > 0
                        ? static_cast<double>(dispatched) /
                              static_cast<double>(out.dispatches)

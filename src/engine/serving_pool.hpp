@@ -84,6 +84,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/latency_histogram.hpp"
 #include "engine/engine.hpp"
 #include "engine/fault.hpp"
 #include "hw/accelerator.hpp"
@@ -209,7 +210,8 @@ struct ServingPoolOptions {
   AdmissionPolicy policy = AdmissionPolicy::kFifo;
   /// kBatch: dispatch as soon as this many requests accumulated (>= 1).
   std::size_t max_batch = 8;
-  /// kBatch: never hold the oldest pending request longer than this.
+  /// kBatch: never hold the oldest pending request longer than this (at
+  /// most kMaxDeadlineMs).
   double max_wait_ms = 1.0;
   /// kBatch: at or above this queue occupancy (fraction of capacity) the
   /// accumulation window shrinks to zero — graceful degradation under
@@ -221,7 +223,8 @@ struct ServingPoolOptions {
   /// healthy replica) up to this many times before the request resolves
   /// with kReplicaFailed. 0 disables retry.
   int max_retries = 2;
-  /// Exponential backoff before each retry: base * 2^(attempt-1), capped.
+  /// Exponential backoff before each retry: base * 2^(attempt-1), capped
+  /// (both at most kMaxDeadlineMs).
   double backoff_base_ms = 0.1;
   double backoff_cap_ms = 10.0;
   /// A dispatch whose wall duration exceeds this counts as a stall for the
@@ -404,7 +407,7 @@ class ServingPool {
   // Statistics, guarded by mutex_.
   ServingStats stats_;
   std::int64_t dispatched_requests_ = 0;  ///< for mean_batch
-  std::vector<double> latencies_ms_;
+  common::LatencyHistogram latencies_;  ///< kOk admission-to-resolve
   Clock::time_point first_admit_;
   Clock::time_point last_complete_;
   bool saw_admit_ = false;

@@ -24,11 +24,11 @@ std::vector<FlagSpec> serving_pool_flags() {
                  "batch policy: dispatch once this many accumulate", 1),
       number_flag("max-wait-ms", "1",
                   "batch policy: never hold the oldest request longer", 0.0,
-                  flags::kUnbounded, "MS"),
+                  engine::kMaxDeadlineMs, "MS"),
       count_flag("max-retries", "2",
                  "failed-dispatch retry budget per request (0 = off)"),
       number_flag("backoff-ms", "0.1", "retry backoff base (exponential, capped)",
-                  0.0, flags::kUnbounded, "MS"),
+                  0.0, engine::kMaxDeadlineMs, "MS"),
       number_flag("stall-timeout-ms", "0",
                   "dispatches slower than this count as stalls (0 = off)",
                   0.0, flags::kUnbounded, "MS"),

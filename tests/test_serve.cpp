@@ -24,6 +24,7 @@
 #include "quant/quantize.hpp"
 #include "serve/client.hpp"
 #include "serve/registry.hpp"
+#include "serve/serve_flags.hpp"
 #include "serve/server.hpp"
 #include "serve/socket.hpp"
 #include "serve/wire.hpp"
@@ -759,6 +760,20 @@ TEST(ServeEndToEnd, ConcurrentClientsShareTheFleet) {
   const auto snapshot = live.registry.snapshot("a");
   ASSERT_EQ(snapshot.size(), 1u);
   EXPECT_EQ(snapshot[0].stats.completed, kClients * kPerClient);
+}
+
+TEST(ServeFlags, PoolDurationsAreBoundedByTheDeadlineCap) {
+  // The batch window and the retry backoff become steady_clock durations;
+  // beyond kMaxDeadlineMs that conversion would overflow.
+  for (const char* flag : {"--max-wait-ms", "--backoff-ms"}) {
+    SCOPED_TRACE(flag);
+    flags::FlagSet too_long(serving_pool_flags());
+    EXPECT_NE(too_long.parse({flag, "1e300"}), "");
+    flags::FlagSet at_cap(serving_pool_flags());
+    ASSERT_EQ(at_cap.parse({flag, std::to_string(engine::kMaxDeadlineMs)}), "");
+    engine::ServingPoolOptions options;
+    EXPECT_EQ(pool_options_from_flags(at_cap, &options), "");
+  }
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 // requests refused at admission).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <future>
 #include <string>
@@ -13,7 +15,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/alloc_hook.hpp"
 #include "common/assert.hpp"
+#include "common/latency_histogram.hpp"
 #include "common/rng.hpp"
 #include "compiler/partition.hpp"
 #include "engine/engine.hpp"
@@ -22,6 +26,14 @@
 #include "nn/zoo.hpp"
 #include "quant/quantize.hpp"
 #include "test_helpers.hpp"
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define RSNN_SANITIZERS_ACTIVE 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define RSNN_SANITIZERS_ACTIVE 1
+#endif
+#endif
 
 namespace rsnn::engine {
 namespace {
@@ -500,6 +512,82 @@ TEST(ServingPool, InvalidOptionsThrow) {
     EXPECT_THROW(ServingPool(fx.program, EngineKind::kReference, options),
                  ContractViolation);
   }
+  // Durations past kMaxDeadlineMs would overflow their steady_clock
+  // conversion, under every policy.
+  for (int field = 0; field < 3; ++field) {
+    SCOPED_TRACE("field " + std::to_string(field));
+    ServingPoolOptions options;
+    options.policy = AdmissionPolicy::kBatch;
+    if (field == 0) options.max_wait_ms = 1e300;
+    if (field == 1) options.backoff_base_ms = options.backoff_cap_ms = 1e300;
+    if (field == 2) options.backoff_cap_ms = 1e300;
+    EXPECT_THROW(ServingPool(fx.program, EngineKind::kReference, options),
+                 ContractViolation);
+  }
+}
+
+// ------------------------------------------------------ latency record
+
+// The record is fixed-size: ~9 KB of counters however many requests resolve.
+static_assert(sizeof(common::LatencyHistogram) < 10 * 1024);
+
+TEST(LatencyHistogram, QuantilesWithinOneBucketOfTheExactOrderStatistic) {
+  Rng rng(77);
+  common::LatencyHistogram histogram;
+  std::vector<double> samples;
+  for (int i = 0; i < 5000; ++i) {
+    // Log-uniform over 0.05 ms .. 500 ms: every octave of the range.
+    const double ms = 0.05 * std::pow(1e4, rng.next_double());
+    samples.push_back(ms);
+    histogram.record(ms);
+  }
+  std::sort(samples.begin(), samples.end());
+  EXPECT_EQ(histogram.count(), samples.size());
+  for (const double q : {0.0, 0.5, 0.9, 0.99, 1.0}) {
+    SCOPED_TRACE("q=" + std::to_string(q));
+    const double exact = samples[static_cast<std::size_t>(
+        q * static_cast<double>(samples.size() - 1))];
+    EXPECT_NEAR(histogram.quantile_ms(q), exact, exact / 32.0);
+  }
+  histogram.clear();
+  EXPECT_EQ(histogram.count(), 0u);
+  EXPECT_EQ(histogram.quantile_ms(0.5), 0.0);
+}
+
+TEST(ServingPool, StatsCostStaysFlatAsRequestsAccumulate) {
+#ifdef RSNN_SANITIZERS_ACTIVE
+  GTEST_SKIP() << "allocation counting is not meaningful under sanitizers";
+#else
+  Rng rng(78);
+  nn::Network net = rsnn::testing::small_random_net(rng);
+  const quant::QuantizedNetwork qnet =
+      quant::quantize(net, quant::QuantizeConfig{3, 4});
+  hw::AcceleratorConfig cfg;
+  cfg.conv = hw::ConvUnitGeometry{16, 3, 24};
+  cfg.pool = hw::PoolUnitGeometry{8, 2, 16};
+  cfg.linear = hw::LinearUnitGeometry{8, 24};
+  const ir::LayerProgram program = ir::lower(qnet, cfg);
+  const std::vector<TensorI> codes(
+      100, quant::encode_activations(
+               rsnn::testing::random_image(qnet.input_shape, rng), 4));
+  ServingPool pool(program, EngineKind::kCycleAccurate, ServingPoolOptions{});
+
+  // Allocations of one stats() call once `served` requests have resolved.
+  const auto stats_allocations = [&pool] {
+    const std::uint64_t before = common::allocation_count();
+    const ServingStats stats = pool.stats();
+    const std::uint64_t after = common::allocation_count();
+    EXPECT_LE(stats.p50_latency_ms, stats.p99_latency_ms);
+    return after - before;
+  };
+  serve_batch(pool, std::vector<TensorI>(codes.begin(), codes.begin() + 10));
+  ASSERT_EQ(pool.stats().completed, 10);
+  const std::uint64_t after_10 = stats_allocations();
+  for (int round = 0; round < 100; ++round) serve_batch(pool, codes);
+  ASSERT_EQ(pool.stats().completed, 10'010);
+  EXPECT_EQ(stats_allocations(), after_10)
+      << "stats() must not copy a per-request latency record";
+#endif
 }
 
 // ------------------------------------------------------ serving overhead
