@@ -9,7 +9,10 @@
 //   * --json <path> [--samples N] [--tiny] [--compare OLD.json] —
 //     self-contained chrono timing of the inference paths, written as
 //     machine-readable JSON (BENCH_*.json style) so successive PRs can
-//     compare ns/inference. This mode needs only the standard library.
+//     compare ns/inference. Each timed entry also records its cold (first)
+//     call apart and the p10/p50/p90 of its warm per-call times, so a
+//     comparison can use medians instead of one mean. This mode needs only
+//     the standard library.
 //     --tiny restricts the run to the small-network entries — including
 //     a small pipelined run — plus radix encoding (seconds,
 //     not minutes — the CI bench-smoke tier). --compare reads a previous
@@ -85,12 +88,34 @@ quant::QuantizedNetwork make_lenet_qnet(int T) {
 
 // ------------------------------------------------------------- JSON mode
 
+/// Per-call wall-clock times of one entry, per inference: the first (cold)
+/// call, the mean of the warm calls, and their p10/p50/p90.
+struct CallTimes {
+  double cold_ns = 0.0;
+  double mean_ns = 0.0;
+  double p10_ns = 0.0;
+  double p50_ns = 0.0;
+  double p90_ns = 0.0;
+};
+
 struct BenchResult {
   std::string name;
-  double ns_per_inference = 0.0;
+  double ns_per_inference = 0.0;  ///< mean of the warm calls
   int samples = 0;
   double images_per_sec = 0.0;  ///< emitted when > 0 (throughput entries)
+  CallTimes calls;              ///< emitted when cold_ns > 0 (timed entries)
 };
+
+/// A timed entry: `samples` warm calls after one cold call, each call
+/// covering `per_call` inferences.
+BenchResult timed_entry(std::string name, int samples, const CallTimes& calls) {
+  BenchResult r;
+  r.name = std::move(name);
+  r.ns_per_inference = calls.mean_ns;
+  r.samples = samples;
+  r.calls = calls;
+  return r;
+}
 
 // ------------------------------------------------------- host metadata
 //
@@ -141,17 +166,36 @@ HostInfo current_host() {
   return host;
 }
 
-/// Wall-clock ns per call of `fn` over `samples` calls (one warmup call).
+/// Times one cold call of `fn` (it pages in weights and sizes scratch),
+/// then `samples` warm calls one by one; every time is divided by
+/// `per_call`, the inferences one call performs.
 template <typename Fn>
-double time_ns_per_call(int samples, Fn&& fn) {
-  fn();  // warmup: page in weights, encode caches
-  const auto begin = std::chrono::steady_clock::now();
-  for (int i = 0; i < samples; ++i) fn();
-  const auto end = std::chrono::steady_clock::now();
-  return static_cast<double>(
-             std::chrono::duration_cast<std::chrono::nanoseconds>(end - begin)
-                 .count()) /
-         samples;
+CallTimes time_calls(int samples, Fn&& fn, double per_call = 1.0) {
+  const auto elapsed_ns = [&fn] {
+    const auto begin = std::chrono::steady_clock::now();
+    fn();
+    const auto end = std::chrono::steady_clock::now();
+    return static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(end - begin)
+            .count());
+  };
+  CallTimes t;
+  t.cold_ns = elapsed_ns() / per_call;
+  std::vector<double> warm(static_cast<std::size_t>(samples));
+  double total = 0.0;
+  for (double& ns : warm) {
+    ns = elapsed_ns() / per_call;
+    total += ns;
+  }
+  t.mean_ns = total / samples;
+  std::sort(warm.begin(), warm.end());
+  const auto pick = [&warm](double q) {
+    return warm[static_cast<std::size_t>(q * static_cast<double>(warm.size() - 1) + 0.5)];
+  };
+  t.p10_ns = pick(0.1);
+  t.p50_ns = pick(0.5);
+  t.p90_ns = pick(0.9);
+  return t;
 }
 
 /// Parse the (name, ns_per_inference) pairs out of a microbench JSON file.
@@ -323,26 +367,21 @@ int run_json_mode(const std::string& path, int samples, bool tiny,
     hw::Accelerator accel(hw::lenet_reference_config(), qnet);
     const TensorF image = random_image(Shape{1, 32, 32}, rng);
     const TensorI codes = quant::encode_activations(image, 8);
-    results.push_back(
-        {"cycle_accurate_lenet_t8",
-         time_ns_per_call(samples,
-                          [&] {
-                            auto r = accel.run_codes(
-                                codes, hw::SimMode::kCycleAccurate);
-                            (void)r;
-                          }),
-         samples});
+    results.push_back(timed_entry("cycle_accurate_lenet_t8", samples,
+                                  time_calls(samples, [&] {
+                                    auto r = accel.run_codes(
+                                        codes, hw::SimMode::kCycleAccurate);
+                                    (void)r;
+                                  })));
     // The golden stepped dataflow the fast path is checked against — kept
     // as its own entry so the fast-path speedup stays visible over time.
-    results.push_back(
-        {"stepped_lenet_t8",
-         time_ns_per_call(std::max(1, samples / 4),
-                          [&] {
-                            auto r =
-                                accel.run_codes(codes, hw::SimMode::kStepped);
-                            (void)r;
-                          }),
-         std::max(1, samples / 4)});
+    const int stepped_samples = std::max(1, samples / 4);
+    results.push_back(timed_entry(
+        "stepped_lenet_t8", stepped_samples,
+        time_calls(stepped_samples, [&] {
+          auto r = accel.run_codes(codes, hw::SimMode::kStepped);
+          (void)r;
+        })));
 
     // The cycle_accurate engine's warm serving path: pre-allocated worker
     // state, result storage reused across calls — what a ServingPool
@@ -352,11 +391,9 @@ int run_json_mode(const std::string& path, int samples, bool tiny,
                                      accel.program());
       hw::AccelRunResult reused;
       eng->run_codes_into(codes, reused);  // size every scratch buffer
-      results.push_back(
-          {"warm_engine_cycle_accurate_lenet_t8",
-           time_ns_per_call(samples,
-                            [&] { eng->run_codes_into(codes, reused); }),
-           samples});
+      results.push_back(timed_entry(
+          "warm_engine_cycle_accurate_lenet_t8", samples,
+          time_calls(samples, [&] { eng->run_codes_into(codes, reused); })));
     }
 
     // The single-state batched kernel: 32 distinct images through one
@@ -371,13 +408,15 @@ int run_json_mode(const std::string& path, int samples, bool tiny,
       hw::Accelerator::WorkerState state = accel.make_worker_state();
       std::vector<hw::AccelRunResult> out(batch32.size());
       const int batch_samples = std::max(1, samples / 4);
-      const double ns = time_ns_per_call(batch_samples, [&] {
-        accel.run_codes_batched_into(state, batch32.data(), batch32.size(),
-                                     out.data());
-      });
-      results.push_back({"batch32_cycle_accurate_lenet_t8",
-                         ns / static_cast<double>(batch32.size()),
-                         batch_samples});
+      results.push_back(timed_entry(
+          "batch32_cycle_accurate_lenet_t8", batch_samples,
+          time_calls(
+              batch_samples,
+              [&] {
+                accel.run_codes_batched_into(state, batch32.data(),
+                                             batch32.size(), out.data());
+              },
+              static_cast<double>(batch32.size()))));
     }
 
     // The other two engines over the same lowered program.
@@ -385,14 +424,11 @@ int run_json_mode(const std::string& path, int samples, bool tiny,
     for (const auto kind : {engine::EngineKind::kBehavioral,
                             engine::EngineKind::kReference}) {
       auto eng = engine::make_engine(kind, program);
-      results.push_back(
-          {std::string(eng->name()) + "_lenet_t8",
-           time_ns_per_call(samples,
-                            [&] {
-                              auto r = eng->run_codes(codes);
-                              (void)r;
-                            }),
-           samples});
+      results.push_back(timed_entry(std::string(eng->name()) + "_lenet_t8",
+                                    samples, time_calls(samples, [&] {
+                                      auto r = eng->run_codes(codes);
+                                      (void)r;
+                                    })));
     }
 
     // Pipeline-parallel throughput: the program partitioned into 2 and 4
@@ -416,6 +452,44 @@ int run_json_mode(const std::string& path, int samples, bool tiny,
       r.images_per_sec = stats.images_per_sec;
       results.push_back(r);
     }
+  }
+
+  // VGG-11 at T=3 on its Table III configuration (DRAM-streamed weights):
+  // one image, and a batch of 8 distinct images through one prepared-weight
+  // traversal per op, reported per inference. The weights are scaled by 2
+  // after init, as bench/e2e's VGG model is, so activations stay live
+  // through the deep layers instead of dying out.
+  if (!tiny) {
+    Rng vrng(8);
+    nn::Network vgg = nn::make_vgg11();
+    vgg.init_params(vrng);
+    for (nn::Param* p : vgg.params())
+      for (std::int64_t i = 0; i < p->value.numel(); ++i)
+        p->value.at_flat(i) *= 2.0f;
+    const auto qnet = quant::quantize(vgg, quant::QuantizeConfig{3, 3});
+    hw::Accelerator accel(hw::vgg11_table3_config(), qnet);
+    std::vector<TensorI> batch8;
+    for (int i = 0; i < 8; ++i)
+      batch8.push_back(quant::encode_activations(
+          random_image(Shape{3, 32, 32}, vrng), qnet.time_bits));
+    hw::Accelerator::WorkerState state = accel.make_worker_state();
+    std::vector<hw::AccelRunResult> out(batch8.size());
+    const int vgg_samples = std::max(3, samples / 2);
+    results.push_back(timed_entry(
+        "cycle_accurate_vgg11_t3", vgg_samples,
+        time_calls(vgg_samples, [&] {
+          accel.run_codes_batched_into(state, batch8.data(), 1, out.data());
+        })));
+    const int batch_samples = std::max(3, samples / 8);
+    results.push_back(timed_entry(
+        "batch8_cycle_accurate_vgg11_t3", batch_samples,
+        time_calls(
+            batch_samples,
+            [&] {
+              accel.run_codes_batched_into(state, batch8.data(),
+                                           batch8.size(), out.data());
+            },
+            static_cast<double>(batch8.size()))));
   }
 
   // Re-lowered 4-stage VGG-11 pipeline (the PR 4 metric): each stage is
@@ -461,15 +535,12 @@ int run_json_mode(const std::string& path, int samples, bool tiny,
     hw::Accelerator accel(cfg, qnet);
     const TensorF image = random_image(Shape{1, 16, 16}, rng);
     const TensorI codes = quant::encode_activations(image, 4);
-    results.push_back(
-        {"cycle_accurate_small_t4",
-         time_ns_per_call(samples * 4,
-                          [&] {
-                            auto r = accel.run_codes(
-                                codes, hw::SimMode::kCycleAccurate);
-                            (void)r;
-                          }),
-         samples * 4});
+    results.push_back(timed_entry("cycle_accurate_small_t4", samples * 4,
+                                  time_calls(samples * 4, [&] {
+                                    auto r = accel.run_codes(
+                                        codes, hw::SimMode::kCycleAccurate);
+                                    (void)r;
+                                  })));
 
     const ir::LayerProgram& program = accel.program();
     {
@@ -493,14 +564,11 @@ int run_json_mode(const std::string& path, int samples, bool tiny,
   // Radix encoding throughput.
   {
     const TensorF image = random_image(Shape{1, 32, 32}, rng);
-    results.push_back({"radix_encode_32x32_t6",
-                       time_ns_per_call(samples * 16,
-                                        [&] {
-                                          auto t = encoding::radix_encode(
-                                              image, 6);
-                                          (void)t;
-                                        }),
-                       samples * 16});
+    results.push_back(timed_entry("radix_encode_32x32_t6", samples * 16,
+                                  time_calls(samples * 16, [&] {
+                                    auto t = encoding::radix_encode(image, 6);
+                                    (void)t;
+                                  })));
   }
 
   const HostInfo host = current_host();
@@ -532,6 +600,12 @@ int run_json_mode(const std::string& path, int samples, bool tiny,
     if (results[i].images_per_sec > 0.0)
       std::fprintf(out, ", \"images_per_sec\": %.1f",
                    results[i].images_per_sec);
+    const CallTimes& t = results[i].calls;
+    if (t.cold_ns > 0.0)
+      std::fprintf(out,
+                   ", \"cold_ns\": %.1f, \"p10_ns\": %.1f, \"p50_ns\": %.1f, "
+                   "\"p90_ns\": %.1f",
+                   t.cold_ns, t.p10_ns, t.p50_ns, t.p90_ns);
     std::fprintf(out, "}%s\n", i + 1 < results.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
@@ -540,6 +614,8 @@ int run_json_mode(const std::string& path, int samples, bool tiny,
   for (const BenchResult& r : results) {
     std::printf("%-36s %14.1f ns/inference", r.name.c_str(),
                 r.ns_per_inference);
+    if (r.calls.cold_ns > 0.0)
+      std::printf("  (p50 %.1f, cold %.1f)", r.calls.p50_ns, r.calls.cold_ns);
     if (r.images_per_sec > 0.0)
       std::printf("  (%.1f images/sec)", r.images_per_sec);
     std::printf("\n");
