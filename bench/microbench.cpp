@@ -190,7 +190,8 @@ CallTimes time_calls(int samples, Fn&& fn, double per_call = 1.0) {
   t.mean_ns = total / samples;
   std::sort(warm.begin(), warm.end());
   const auto pick = [&warm](double q) {
-    return warm[static_cast<std::size_t>(q * static_cast<double>(warm.size() - 1) + 0.5)];
+    const double rank = q * static_cast<double>(warm.size() - 1);
+    return warm[static_cast<std::size_t>(rank + 0.5)];
   };
   t.p10_ns = pick(0.1);
   t.p50_ns = pick(0.5);

@@ -36,9 +36,9 @@ class LatencyHistogram {
     for (int i = 0; i < kBuckets; ++i) {
       seen += counts_[i];
       if (seen > rank) {
-        const std::uint64_t width = i < kSub ? 1 : std::uint64_t{1} << (i / kSub - 1);
-        const std::uint64_t lower =
-            i < kSub ? i : (kSub + i % kSub) * width;
+        const std::uint64_t width =
+            i < kSub ? 1 : std::uint64_t{1} << (i / kSub - 1);
+        const std::uint64_t lower = i < kSub ? i : (kSub + i % kSub) * width;
         return (static_cast<double>(lower) + 0.5 * static_cast<double>(width)) /
                1000.0;
       }

@@ -40,7 +40,8 @@ void gemm_tile_scalar(const std::uint8_t* const* a, std::int64_t row_stride,
       }
     }
     const std::int64_t scale = std::int64_t{1} << shift;
-    for (int n = 0; n < kGemmCols; ++n) out[p * kGemmCols + n] += acc[n] * scale;
+    for (int n = 0; n < kGemmCols; ++n)
+      out[p * kGemmCols + n] += acc[n] * scale;
   }
 }
 
@@ -95,16 +96,17 @@ __attribute__((target("avx2"))) void gemm_tile_avx2_mr(
   for (int p = 0; p < MR; ++p) acc[p][0] = acc[p][1] = _mm256_setzero_si256();
   std::int64_t left = flush_groups > 0 ? flush_groups : -1;
   for (std::int64_t r = 0; r < rows; ++r) {
-    const std::uint8_t* ap[MR];
+    const std::uint8_t* ap[MR] = {};
 #pragma GCC unroll 4
     for (int p = 0; p < MR; ++p) ap[p] = a[p] + r * row_stride;
     for (std::int64_t g = 0; g < groups; ++g, w += kGemmCols * kGemmGroup) {
-      const __m256i w0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
+      const __m256i w0 =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
       const __m256i w1 =
           _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 32));
 #pragma GCC unroll 4
       for (int p = 0; p < MR; ++p) {
-        std::int32_t digits;
+        std::int32_t digits = 0;
         std::memcpy(&digits, ap[p] + g * kGemmGroup, sizeof digits);
         const __m256i x = _mm256_set1_epi32(digits);
         acc[p][0] = _mm256_add_epi32(

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <climits>
 #include <cstddef>
 #include <cstring>
 #include <iterator>
@@ -92,7 +91,8 @@ void for_each_chw_nhwc(const Shape& shape, Fn&& fn) {
   const std::int64_t ch = shape.dim(0), h = shape.dim(1), w = shape.dim(2);
   for (std::int64_t c = 0; c < ch; ++c)
     for (std::int64_t y = 0; y < h; ++y)
-      for (std::int64_t x = 0; x < w; ++x) fn((c * h + y) * w + x, (y * w + x) * ch + c);
+      for (std::int64_t x = 0; x < w; ++x)
+        fn((c * h + y) * w + x, (y * w + x) * ch + c);
 }
 
 /// Input spikes of each image: the popcount of its codes.
@@ -100,7 +100,8 @@ void popcount_per_image(const std::uint16_t* codes, std::int64_t n,
                         std::int64_t batch, std::int64_t* out) {
   for (std::int64_t b = 0; b < batch; ++b) {
     std::int64_t total = 0;
-    for (std::int64_t i = 0; i < n; ++i) total += std::popcount(codes[b * n + i]);
+    for (std::int64_t i = 0; i < n; ++i)
+      total += std::popcount(codes[b * n + i]);
     out[b] = total;
   }
 }
@@ -158,7 +159,8 @@ DigitPlanes stage_digits(const std::uint16_t* in, const GemmOp& g,
           const unsigned v = px[c];
           pixel_spikes += std::popcount(v);
           for (int i = 0; i < p.digits; ++i)
-            dst[i * planes.plane + c] = static_cast<std::uint8_t>((v >> (d * i)) & mask);
+            dst[i * planes.plane + c] =
+                static_cast<std::uint8_t>((v >> (d * i)) & mask);
         }
         image_spikes += pixel_spikes;
         image_adder += pixel_spikes * p.county[static_cast<std::size_t>(y)] *
@@ -191,12 +193,14 @@ void run_gemm(const Kernels& K, const FastPrepared::OpPrep& p,
 
   const std::int64_t tile_bytes = p.rows * p.groups * kGemmCols * kGemmGroup;
   std::int64_t tile[kGemmRows * kGemmCols];
-  const std::uint8_t* a[kGemmRows];
+  const std::uint8_t* a[kGemmRows] = {};
   for (std::int64_t n0 = 0; n0 < g.cout; n0 += kGemmCols) {
     const std::int8_t* w = p.weights.data() + (n0 / kGemmCols) * tile_bytes;
-    const int nv = static_cast<int>(std::min<std::int64_t>(kGemmCols, g.cout - n0));
+    const int nv =
+        static_cast<int>(std::min<std::int64_t>(kGemmCols, g.cout - n0));
     for (std::int64_t m0 = 0; m0 < m_total; m0 += kGemmRows) {
-      const int mr = static_cast<int>(std::min<std::int64_t>(kGemmRows, m_total - m0));
+      const int mr =
+          static_cast<int>(std::min<std::int64_t>(kGemmRows, m_total - m0));
       std::fill(std::begin(tile), std::end(tile), std::int64_t{0});
       for (int i = 0; i < p.digits; ++i) {
         for (int q = 0; q < mr; ++q)
@@ -291,9 +295,10 @@ void pack_gemm(const GemmOp& g, int time_bits, std::size_t op_index,
   // rows at [oc][c][ky][kx] with (kx, c) advanced alongside kk.
   std::int32_t lo = 0, hi = 0;
   const std::int64_t taps = g.k * g.k;
-  const std::int32_t* src[kGemmCols];
+  const std::int32_t* src[kGemmCols] = {};
   for (std::int64_t oc0 = 0; oc0 < g.cout; oc0 += kGemmCols) {
-    const int nv = static_cast<int>(std::min<std::int64_t>(kGemmCols, g.cout - oc0));
+    const int nv =
+        static_cast<int>(std::min<std::int64_t>(kGemmCols, g.cout - oc0));
     for (std::int64_t ky = 0; ky < g.k; ++ky) {
       std::int8_t* dst = p.weights.data() + (oc0 / kGemmCols) * tile_bytes +
                          ky * p.groups * kGemmCols * kGemmGroup;
@@ -417,7 +422,8 @@ void run_gemm_step(const ir::LayerProgram& program, const FastPrepared& prep,
   const std::uint16_t* in = op.kind == ir::OpKind::kLinear
                                 ? flat_chw(s.cur, op.in_shape, B, arena)
                                 : s.cur;
-  const DigitPlanes planes = stage_digits(in, g, p, B, arena, s.spikes, s.adder);
+  const DigitPlanes planes =
+      stage_digits(in, g, p, B, arena, s.spikes, s.adder);
   const std::int64_t pixels = g.oh * g.ow;
   const auto code = [&](const std::int64_t* tile, int q, std::int64_t oc) {
     return static_cast<std::uint16_t>(quant::requantize_value(
@@ -445,8 +451,9 @@ void run_gemm_step(const ir::LayerProgram& program, const FastPrepared& prep,
                  const std::int64_t oy = (m % pixels) / g.ow, ox = m % g.ow;
                  const bool covered = oy < poh * k && ox < pw * k;
                  std::uint32_t* window =
-                     covered ? sums + ((b * poh + oy / k) * pw + ox / k) * g.cout
-                             : nullptr;
+                     covered
+                         ? sums + ((b * poh + oy / k) * pw + ox / k) * g.cout
+                         : nullptr;
                  std::int64_t n = 0;
                  for (std::int64_t oc = n0; oc < n0 + nv; ++oc) {
                    const std::uint16_t v = code(tile, q, oc);

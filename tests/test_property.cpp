@@ -139,7 +139,8 @@ std::vector<TensorI> sweep_inputs(const Shape& shape, int T, Rng& rng) {
 class ArchitectureSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(ArchitectureSweep, AllInvariantsHold) {
-  const std::uint64_t seed = 1000 + static_cast<std::uint64_t>(GetParam()) * 7919;
+  const std::uint64_t seed =
+      1000 + static_cast<std::uint64_t>(GetParam()) * 7919;
   Rng rng(seed);
   std::string config;
   nn::Network net = random_architecture(rng, &config);
@@ -190,7 +191,8 @@ TEST_P(ArchitectureSweep, AllInvariantsHold) {
     SCOPED_TRACE("batch=" + std::to_string(batch));
     std::vector<hw::AccelRunResult> results(batch);
     accel.run_codes_batched_into(state, codes.data(), batch, results.data());
-    for (std::size_t b = 0; b < batch; ++b) expect_bit_identical(results[b], single[b]);
+    for (std::size_t b = 0; b < batch; ++b)
+      expect_bit_identical(results[b], single[b]);
   }
 
   // A random segment cut composes back to the whole program.
