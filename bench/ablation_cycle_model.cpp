@@ -1,6 +1,6 @@
 // Ablation C: validation of the analytic latency model against the stepped
 // dataflow, which counts cycles by stepping the bit-true unit simulators
-// (DESIGN.md invariant 4), swept over randomized layer geometries and design
+// (README invariant 4), swept over randomized layer geometries and design
 // points. The fast path copies its cycles from the analytic model, so any
 // deviation would invalidate every fast-path and VGG-scale result. Exits
 // non-zero on any mismatch.

@@ -24,7 +24,8 @@ std::string artifact_dir();
 
 /// LeNet-5 trained on SynthDigits (32x32). Cached after the first run.
 /// Substitution note: the paper uses MNIST; if an MNIST directory is present
-/// at ./data/mnist it is used instead (see DESIGN.md §3).
+/// at ./data/mnist it is used instead (see README "Synthetic stand-in
+/// datasets").
 TrainedModel load_or_train_lenet5(bool quiet = true);
 
 /// The Fang et al. CNN (28x28) trained on SynthDigits at 28x28.

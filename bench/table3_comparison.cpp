@@ -10,7 +10,8 @@
 //   * This work / VGG-11 on CIFAR-100-class data (115 MHz, 8 conv units,
 //     T=6, DRAM weight streaming). Hardware metrics use the full-size
 //     28.5M-parameter model; the accuracy column uses the trained
-//     width-reduced VGG (substitution documented in DESIGN.md §3).
+//     width-reduced VGG (substitution documented in README "Synthetic
+//     stand-in datasets").
 #include <cstdio>
 
 #include "baselines/fang2020.hpp"
@@ -153,7 +154,9 @@ int main() {
   }
   table.print("Table III: efficiency and performance of SNN accelerators");
 
-  std::printf("\n(*) synthetic stand-in datasets; see DESIGN.md §3.\n");
+  std::printf(
+      "\n(*) synthetic stand-in datasets; see README \"Synthetic stand-in "
+      "datasets\".\n");
   std::printf("Paper 'This work' rows: CNN2 99.3%% 409us 2445fps 3.6W 41k/36k;"
               "\n  LeNet-5 99.1%% 294us 3380fps 3.4W 27k/24k;"
               "\n  VGG-11 60.1%% 210000us 4.7fps 4.9W 88k/84k\n");

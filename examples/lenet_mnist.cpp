@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
     test = *data::load_mnist("data/mnist", /*train=*/false, 32);
   } else {
     std::printf("MNIST not found; using the SynthDigits stand-in "
-                "(DESIGN.md §3)\n");
+                "(README \"Synthetic stand-in datasets\")\n");
     data::SynthDigitsConfig cfg;
     cfg.num_samples = 3000;
     cfg.noise_stddev = 0.08;

@@ -1,6 +1,6 @@
 // SynthDigits: a procedural MNIST-class dataset.
 //
-// Substitution note (see DESIGN.md §3): the paper evaluates on MNIST. This
+// Substitution note (see README "Synthetic stand-in datasets"): the paper evaluates on MNIST. This
 // generator renders the ten digits from a 5x7 seed font into a configurable
 // canvas (default 32x32, LeNet-5's input size) with randomized translation,
 // scale, stroke thickness, shear, per-pixel noise and intensity jitter —

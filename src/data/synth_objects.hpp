@@ -1,6 +1,6 @@
 // SynthObjects: a procedural CIFAR-100-class dataset.
 //
-// Substitution note (see DESIGN.md §3): the paper evaluates VGG-11 on
+// Substitution note (see README "Synthetic stand-in datasets"): the paper evaluates VGG-11 on
 // CIFAR-100. This generator produces a 100-class, 3x32x32 task. Each class
 // is defined by a deterministic parameter vector (shape family, two-color
 // palette, texture frequency/orientation, background gradient); samples

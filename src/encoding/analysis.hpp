@@ -1,5 +1,5 @@
 // Encoding error analysis: quantifies why radix encoding shortens spike
-// trains (DESIGN.md invariant 5; feeds the encoding ablation bench).
+// trains (README invariant 5; feeds the encoding ablation bench).
 #pragma once
 
 #include "common/rng.hpp"

@@ -21,7 +21,7 @@
 //
 // The simulator advances an explicit cycle counter with the same pass
 // structure as hw/latency_model.hpp; the totals must agree exactly
-// (DESIGN.md invariant 4) and the computed feature maps must match the
+// (README invariant 4) and the computed feature maps must match the
 // QuantizedNetwork reference bit for bit (invariant 2).
 #pragma once
 

@@ -3,7 +3,7 @@
 // These closed-form cycle counts are derived from the row-based dataflow of
 // paper Alg. 1 / Fig. 2 and are the single timing contract of the design:
 // the cycle-accurate unit simulators step the same state machine cycle by
-// cycle and must report identical totals (DESIGN.md invariant 4, tested in
+// cycle and must report identical totals (README invariant 4, tested in
 // tests/hw and swept in bench/ablation_cycle_model).
 //
 // Pass structure of one convolution unit (one group, one time step, one

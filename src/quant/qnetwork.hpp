@@ -2,7 +2,7 @@
 //
 // This is the arithmetic contract shared by the radix-SNN functional
 // simulator and the cycle-level accelerator: all three must produce
-// bit-identical results (DESIGN.md invariants 1 and 2).
+// bit-identical results (README "Invariants", 1 and 2).
 //
 // Number system
 // -------------

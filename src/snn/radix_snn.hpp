@@ -11,7 +11,7 @@
 //     next layer input = radix_encode(out)
 //
 // This is mathematically identical to QuantizedNetwork::forward (invariant 1
-// in DESIGN.md) but exposes the temporal structure: per-layer spike trains
+// in README "Invariants") but exposes the temporal structure: per-layer spike trains
 // and spike counts, which the power model consumes as activity factors.
 #pragma once
 

@@ -361,7 +361,7 @@ TEST(Placement, TinyBudgetForcesDram) {
 }
 
 TEST(LatencyModel, RowReuseBeatsNaiveDataflow) {
-  // DESIGN.md invariant 6 / the paper's central dataflow claim.
+  // README invariant 6 / the paper's central dataflow claim.
   ConvDims dims{16, 32, 14, 14, 5, 1, 0};
   AcceleratorConfig cfg = small_config(2);
   cfg.conv.array_columns = 16;
