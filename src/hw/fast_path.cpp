@@ -440,30 +440,40 @@ void run_gemm_step(const ir::LayerProgram& program, const FastPrepared& prep,
     const std::int64_t pooled = B * poh * pw * g.cout;
     std::uint32_t* sums = arena.alloc<std::uint32_t>(pooled);
     std::fill(sums, sums + pooled, 0u);
-    std::fill(s.pool_spikes, s.pool_spikes + B, std::int64_t{0});
-    std::fill(s.pool_covered, s.pool_covered + B, std::int64_t{0});
+    // Per conv pixel: its pool window's offset in `sums` (-1 outside the
+    // pooled region) and its spike count, so the epilogue does no division.
+    const std::int64_t m_total = B * pixels;
+    std::int64_t* window = arena.alloc<std::int64_t>(m_total);
+    std::int64_t* pixel_spikes = arena.alloc<std::int64_t>(m_total);
+    for (std::int64_t b = 0, m = 0; b < B; ++b)
+      for (std::int64_t oy = 0; oy < g.oh; ++oy)
+        for (std::int64_t ox = 0; ox < g.ow; ++ox, ++m) {
+          const bool covered = oy < poh * k && ox < pw * k;
+          window[m] =
+              covered ? ((b * poh + oy / k) * pw + ox / k) * g.cout : -1;
+          pixel_spikes[m] = 0;
+        }
     run_gemm(K, p, g, planes, B, arena,
              [&](std::int64_t m0, int mr, std::int64_t n0, int nv,
                  const std::int64_t* tile) {
                for (int q = 0; q < mr; ++q) {
-                 const std::int64_t m = m0 + q;
-                 const std::int64_t b = m / pixels;
-                 const std::int64_t oy = (m % pixels) / g.ow, ox = m % g.ow;
-                 const bool covered = oy < poh * k && ox < pw * k;
-                 std::uint32_t* window =
-                     covered
-                         ? sums + ((b * poh + oy / k) * pw + ox / k) * g.cout
-                         : nullptr;
                  std::int64_t n = 0;
+                 const std::int64_t at = window[m0 + q];
                  for (std::int64_t oc = n0; oc < n0 + nv; ++oc) {
                    const std::uint16_t v = code(tile, q, oc);
                    n += std::popcount(v);
-                   if (covered) window[oc] += v;
+                   if (at >= 0) sums[at + oc] += v;
                  }
-                 s.pool_spikes[b] += n;
-                 if (covered) s.pool_covered[b] += n;
+                 pixel_spikes[m0 + q] += n;
                }
              });
+    for (std::int64_t b = 0; b < B; ++b) {
+      s.pool_spikes[b] = s.pool_covered[b] = 0;
+      for (std::int64_t m = b * pixels; m < (b + 1) * pixels; ++m) {
+        s.pool_spikes[b] += pixel_spikes[m];
+        if (window[m] >= 0) s.pool_covered[b] += pixel_spikes[m];
+      }
+    }
     std::uint16_t* out = arena.alloc<std::uint16_t>(pooled);
     for (std::int64_t i = 0; i < pooled; ++i)
       out[i] = static_cast<std::uint16_t>(sums[i] >> pool.shift);
