@@ -90,8 +90,8 @@ FastPrepared prepare_fast_path(const ir::LayerProgram& program);
 /// copy (replicas of a VGG-scale model would otherwise each hold megabytes
 /// of identical repacked weights and pay the repack on spin-up). Keyed by
 /// program identity: the borrowed QuantizedNetwork, the op range and each
-/// op's parameters. Entries are weak; a pack dies with
-/// its last user and is rebuilt on the next request.
+/// op's parameters. Entries are weak; a pack dies with its last user and is
+/// rebuilt on the next request.
 std::shared_ptr<const FastPrepared> shared_fast_prepared(
     const ir::LayerProgram& program);
 
