@@ -328,7 +328,8 @@ TEST(Simd, KernelsMatchScalarOnRandomVectors) {
       // ~33k groups, so the kernel is driven with a flush every 3 groups.
       {7, 127, true, 3, "d7_flush_every_3_groups"},
   };
-  // M remainders (mr 1..4), K remainders (rows x groups), digit shifts.
+  // M remainders (mr 1..4), K remainders (rows x groups), digit shifts,
+  // and an N remainder (zero-weight channels past cout).
   for (const Case& c : cases) {
     for (int mr = 1; mr <= kRows; ++mr) {
       for (const std::int64_t rows : {1, 3}) {
@@ -364,6 +365,22 @@ TEST(Simd, KernelsMatchScalarOnRandomVectors) {
                              shift, mr, out_ref.data());
             EXPECT_EQ(out_best, out_ref) << "shift=" << shift;
           }
+          // N remainder: a tile's channels past cout carry zero weights in
+          // the pack, and must add exactly nothing to their outputs.
+          constexpr int kLive = 6;
+          std::vector<std::int8_t> w_live = w;
+          for (std::size_t i = 0; i < w_live.size(); ++i)
+            if (static_cast<int>(i / kGroup % kCols) >= kLive) w_live[i] = 0;
+          std::vector<std::int64_t> out_best(kRows * kCols, 7), out_ref;
+          out_ref = out_best;
+          best.gemm_tile(a, row_stride, rows, groups, w_live.data(), c.flush,
+                         0, mr, out_best.data());
+          scalar.gemm_tile(a, row_stride, rows, groups, w_live.data(),
+                           c.flush, 0, mr, out_ref.data());
+          EXPECT_EQ(out_best, out_ref);
+          for (int p = 0; p < kRows; ++p)
+            for (int n = kLive; n < kCols; ++n)
+              EXPECT_EQ(out_best[p * kCols + n], 7);
         }
       }
     }
