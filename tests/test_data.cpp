@@ -6,7 +6,6 @@
 #include "common/rng.hpp"
 #include "data/dataset.hpp"
 #include "data/idx_loader.hpp"
-#include "data/image_io.hpp"
 #include "data/synth_digits.hpp"
 #include "data/synth_objects.hpp"
 
@@ -156,54 +155,6 @@ TEST(Dataset, AppendChecksClassCount) {
   a.num_classes = 10;
   b.num_classes = 5;
   EXPECT_THROW(a.append(b), ContractViolation);
-}
-
-TEST(ImageIo, PgmHeaderAndSize) {
-  TensorF image(Shape{1, 4, 6}, 0.5f);
-  const std::string path = ::testing::TempDir() + "/img.pgm";
-  write_pgm(image, path);
-  std::ifstream is(path, std::ios::binary);
-  std::string magic, dims;
-  std::getline(is, magic);
-  std::getline(is, dims);
-  EXPECT_EQ(magic, "P5");
-  EXPECT_EQ(dims, "6 4");
-  is.seekg(0, std::ios::end);
-  // header "P5\n6 4\n255\n" = 11 bytes + 24 pixels.
-  EXPECT_EQ(static_cast<long>(is.tellg()), 11 + 24);
-  std::remove(path.c_str());
-}
-
-TEST(ImageIo, PpmRoundTripPixelValues) {
-  TensorF image(Shape{3, 2, 2}, 0.0f);
-  image(0, 0, 0) = 0.999f;  // red corner
-  const std::string path = ::testing::TempDir() + "/img.ppm";
-  write_ppm(image, path);
-  std::ifstream is(path, std::ios::binary);
-  std::string line;
-  std::getline(is, line);  // P6
-  std::getline(is, line);  // dims
-  std::getline(is, line);  // maxval
-  unsigned char rgb[3];
-  is.read(reinterpret_cast<char*>(rgb), 3);
-  EXPECT_GT(static_cast<int>(rgb[0]), 250);
-  EXPECT_EQ(static_cast<int>(rgb[1]), 0);
-  std::remove(path.c_str());
-}
-
-TEST(ImageIo, RejectsWrongChannelCount) {
-  TensorF rgb(Shape{3, 2, 2});
-  TensorF gray(Shape{1, 2, 2});
-  EXPECT_THROW(write_pgm(rgb, "/tmp/x.pgm"), ContractViolation);
-  EXPECT_THROW(write_ppm(gray, "/tmp/x.ppm"), ContractViolation);
-}
-
-TEST(ImageIo, AsciiArtDimensions) {
-  TensorF image(Shape{1, 3, 5}, 0.0f);
-  image(0, 1, 2) = 0.95f;
-  const std::string art = ascii_art(image);
-  EXPECT_EQ(std::count(art.begin(), art.end(), '\n'), 3);
-  EXPECT_NE(art.find('@'), std::string::npos);
 }
 
 TEST(IdxLoader, MissingFilesReturnNullopt) {
