@@ -89,8 +89,8 @@ QuantizedNetwork quantize(const nn::Network& network,
                           const QuantizeConfig& config) {
   RSNN_REQUIRE(config.time_bits >= 1 && config.time_bits <= 16,
                "time_bits " << config.time_bits << " outside 1..16");
-  RSNN_REQUIRE(config.weight_bits >= 1 && config.weight_bits <= 8,
-               "weight_bits " << config.weight_bits << " outside 1..8");
+  RSNN_REQUIRE(config.weight_bits >= 2 && config.weight_bits <= 8,
+               "weight_bits " << config.weight_bits << " outside 2..8");
   auto& net = const_cast<nn::Network&>(network);  // layer() is non-const only
 
   QuantizedNetwork qnet;

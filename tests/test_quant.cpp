@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "quant/qnetwork.hpp"
 #include "quant/quantize.hpp"
@@ -124,6 +125,23 @@ TEST(Quantize, WeightBitsRespected) {
   const auto& conv = std::get<QConv2d>(qnet.layers[0]);
   EXPECT_LE(conv.weight.max(), 3);
   EXPECT_GE(conv.weight.min(), -3);
+}
+
+TEST(Quantize, RejectsWeightBitsOutsideTwoToEight) {
+  // The power-of-two weight scale needs a sign bit and a magnitude bit, so
+  // 1-bit weights are refused up front with a range error naming the field.
+  Rng rng(8);
+  nn::Network net = small_random_net(rng);
+  for (const int bits : {0, 1, 9}) {
+    try {
+      quantize(net, QuantizeConfig{bits, 4});
+      ADD_FAILURE() << "weight_bits " << bits << " accepted";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("weight_bits"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_NO_THROW(quantize(net, QuantizeConfig{2, 4}));
 }
 
 // Quantized inference should agree with float inference up to quantization
