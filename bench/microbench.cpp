@@ -14,7 +14,7 @@
 //     comparison can use medians instead of one mean. This mode needs only
 //     the standard library.
 //     --tiny restricts the run to the small-network entries — including
-//     a small pipelined run — plus radix encoding (seconds,
+//     a 2-segment stage-engine chain — plus radix encoding (seconds,
 //     not minutes — the CI bench-smoke tier). --compare reads a previous
 //     run's JSON, prints the per-entry speedup, and exits non-zero if any
 //     shared entry regressed by more than 10%.
@@ -34,7 +34,6 @@
 #include "compiler/partition.hpp"
 #include "encoding/radix.hpp"
 #include "engine/engine.hpp"
-#include "engine/pipeline.hpp"
 #include "hw/accelerator.hpp"
 #include "hw/conv_unit.hpp"
 #include "nn/activation.hpp"
@@ -102,8 +101,7 @@ struct BenchResult {
   std::string name;
   double ns_per_inference = 0.0;  ///< mean of the warm calls
   int samples = 0;
-  double images_per_sec = 0.0;  ///< emitted when > 0 (throughput entries)
-  CallTimes calls;              ///< emitted when cold_ns > 0 (timed entries)
+  CallTimes calls;  ///< emitted when cold_ns > 0
 };
 
 /// A timed entry: `samples` warm calls after one cold call, each call
@@ -368,10 +366,24 @@ int run_json_mode(const std::string& path, int samples, bool tiny,
     hw::Accelerator accel(hw::lenet_reference_config(), qnet);
     const TensorF image = random_image(Shape{1, 32, 32}, rng);
     const TensorI codes = quant::encode_activations(image, 8);
+    // 32 distinct images: the batch entry runs them all in one call, and the
+    // fast-path single-image entries run them one per call in turn, so
+    // single and batch compare the same inputs (re-running one image lets
+    // the branch predictors learn it).
+    Rng brng(11);
+    std::vector<TensorI> batch32;
+    for (int i = 0; i < 32; ++i)
+      batch32.push_back(quant::encode_activations(
+          random_image(Shape{1, 32, 32}, brng), 8));
+    std::size_t next = 0;
+    const auto next_image = [&]() -> const TensorI& {
+      return batch32[next++ % batch32.size()];
+    };
     results.push_back(timed_entry("cycle_accurate_lenet_t8", samples,
                                   time_calls(samples, [&] {
                                     auto r = accel.run_codes(
-                                        codes, hw::SimMode::kCycleAccurate);
+                                        next_image(),
+                                        hw::SimMode::kCycleAccurate);
                                     (void)r;
                                   })));
     // The golden stepped dataflow the fast path is checked against — kept
@@ -394,18 +406,14 @@ int run_json_mode(const std::string& path, int samples, bool tiny,
       eng->run_codes_into(codes, reused);  // size every scratch buffer
       results.push_back(timed_entry(
           "warm_engine_cycle_accurate_lenet_t8", samples,
-          time_calls(samples, [&] { eng->run_codes_into(codes, reused); })));
+          time_calls(samples,
+                     [&] { eng->run_codes_into(next_image(), reused); })));
     }
 
-    // The single-state batched kernel: 32 distinct images through one
+    // The single-state batched kernel: the 32 images through one
     // prepared-weight traversal per op (run_codes_batched_into), reported
     // per inference.
     {
-      Rng brng(11);
-      std::vector<TensorI> batch32;
-      for (int i = 0; i < 32; ++i)
-        batch32.push_back(quant::encode_activations(
-            random_image(Shape{1, 32, 32}, brng), 8));
       hw::Accelerator::WorkerState state = accel.make_worker_state();
       std::vector<hw::AccelRunResult> out(batch32.size());
       const int batch_samples = std::max(1, samples / 4);
@@ -431,35 +439,13 @@ int run_json_mode(const std::string& path, int samples, bool tiny,
                                       (void)r;
                                     })));
     }
-
-    // Pipeline-parallel throughput: the program partitioned into 2 and 4
-    // latency-balanced stages, one simulated accelerator per stage
-    // (pipeline_images_per_sec in the serving-metric family).
-    for (const int stages : {2, 4}) {
-      const auto segments =
-          compiler::partition_balance_latency(program, stages);
-      engine::PipelineExecutor pipe(program, segments,
-                                    engine::EngineKind::kCycleAccurate);
-      std::vector<TensorI> pipe_batch(
-          static_cast<std::size_t>(std::max(8, samples)), codes);
-      pipe.run_pipeline(pipe_batch);  // warm the stages
-      pipe.run_pipeline(pipe_batch);
-      const engine::PipelineStats stats = pipe.last_stats();
-      BenchResult r;
-      r.name = "pipeline" + std::to_string(stages) +
-               "stage_cycle_accurate_lenet_t8";
-      r.ns_per_inference = stats.ns_per_inference;
-      r.samples = static_cast<int>(stats.images);
-      r.images_per_sec = stats.images_per_sec;
-      results.push_back(r);
-    }
   }
 
   // VGG-11 at T=3 on its Table III configuration (DRAM-streamed weights):
-  // one image, and a batch of 8 distinct images through one prepared-weight
-  // traversal per op, reported per inference. The weights are scaled by 2
-  // after init, as bench/e2e's VGG model is, so activations stay live
-  // through the deep layers instead of dying out.
+  // 8 distinct images, one per call in turn, and all 8 through one
+  // prepared-weight traversal per op, reported per inference. The weights
+  // are scaled by 2 after init, as bench/e2e's VGG model is, so activations
+  // stay live through the deep layers instead of dying out.
   if (!tiny) {
     Rng vrng(8);
     nn::Network vgg = nn::make_vgg11();
@@ -476,10 +462,12 @@ int run_json_mode(const std::string& path, int samples, bool tiny,
     hw::Accelerator::WorkerState state = accel.make_worker_state();
     std::vector<hw::AccelRunResult> out(batch8.size());
     const int vgg_samples = std::max(3, samples / 2);
+    std::size_t next = 0;
     results.push_back(timed_entry(
         "cycle_accurate_vgg11_t3", vgg_samples,
         time_calls(vgg_samples, [&] {
-          accel.run_codes_batched_into(state, batch8.data(), 1, out.data());
+          accel.run_codes_batched_into(state, &batch8[next++ % batch8.size()],
+                                       1, out.data());
         })));
     const int batch_samples = std::max(3, samples / 8);
     results.push_back(timed_entry(
@@ -493,39 +481,10 @@ int run_json_mode(const std::string& path, int samples, bool tiny,
             static_cast<double>(batch8.size()))));
   }
 
-  // Re-lowered 4-stage VGG-11 pipeline (the PR 4 metric): each stage is
-  // re-compiled against its own device, so the early stages hold their
-  // weights on chip instead of inheriting the monolithic DRAM-streaming
-  // plan. Fast path — the standard path at VGG scale.
-  if (!tiny) {
-    Rng vrng(9);
-    nn::Network vgg = nn::make_vgg11();
-    vgg.init_params(vrng);
-    const auto qnet = quant::quantize(vgg, quant::QuantizeConfig{3, 3});
-    const ir::LayerProgram program =
-        ir::lower(qnet, hw::vgg11_table3_config());
-    const auto segments = compiler::partition_balance_latency(
-        program, 4, compiler::PartitionOptions{});
-    engine::PipelineExecutor pipe(program, segments,
-                                  engine::EngineKind::kCycleAccurate);
-    const TensorF image = random_image(Shape{3, 32, 32}, vrng);
-    const TensorI codes = quant::encode_activations(image, qnet.time_bits);
-    std::vector<TensorI> batch(
-        static_cast<std::size_t>(std::max(4, samples / 8)), codes);
-    pipe.run_pipeline(batch);  // warm the stages
-    pipe.run_pipeline(batch);
-    const engine::PipelineStats stats = pipe.last_stats();
-    BenchResult r;
-    r.name = "pipeline4stage_relowered_vgg11";
-    r.ns_per_inference = stats.ns_per_inference;
-    r.samples = static_cast<int>(stats.images);
-    r.images_per_sec = stats.images_per_sec;
-    results.push_back(r);
-  }
-
-  // The small network at T=4 (historic tracking point), plus a small
-  // pipelined entry so --tiny exercises both execution paths CI
-  // smoke-tests: single-shot and pipeline stages.
+  // The small network at T=4 (historic tracking point), plus the same image
+  // through 2 latency-balanced stage engines chained on one thread, so
+  // --tiny exercises both execution paths: the whole program and
+  // mid-program entry.
   {
     const auto qnet = make_qnet(4);
     hw::AcceleratorConfig cfg;
@@ -543,23 +502,15 @@ int run_json_mode(const std::string& path, int samples, bool tiny,
                                     (void)r;
                                   })));
 
-    const ir::LayerProgram& program = accel.program();
-    {
-      const auto segments = compiler::partition_balance_latency(program, 2);
-      engine::PipelineExecutor pipe(program, segments,
-                                    engine::EngineKind::kCycleAccurate);
-      std::vector<TensorI> batch(
-          static_cast<std::size_t>(std::max(16, samples * 4)), codes);
-      pipe.run_pipeline(batch);  // warm the stages
-      pipe.run_pipeline(batch);
-      const engine::PipelineStats stats = pipe.last_stats();
-      BenchResult r;
-      r.name = "pipeline2stage_cycle_accurate_small_t4";
-      r.ns_per_inference = stats.ns_per_inference;
-      r.samples = static_cast<int>(stats.images);
-      r.images_per_sec = stats.images_per_sec;
-      results.push_back(r);
-    }
+    const auto stages = engine::make_stage_engines(
+        engine::EngineKind::kCycleAccurate, accel.program(),
+        compiler::partition_balance_latency(accel.program(), 2));
+    results.push_back(timed_entry("chain2segment_cycle_accurate_small_t4",
+                                  samples * 4,
+                                  time_calls(samples * 4, [&] {
+                                    auto r = engine::run_stages(stages, codes);
+                                    (void)r;
+                                  })));
   }
 
   // Radix encoding throughput.
@@ -598,9 +549,6 @@ int run_json_mode(const std::string& path, int samples, bool tiny,
                  "\"samples\": %d",
                  results[i].name.c_str(), results[i].ns_per_inference,
                  results[i].samples);
-    if (results[i].images_per_sec > 0.0)
-      std::fprintf(out, ", \"images_per_sec\": %.1f",
-                   results[i].images_per_sec);
     const CallTimes& t = results[i].calls;
     if (t.cold_ns > 0.0)
       std::fprintf(out,
@@ -613,12 +561,10 @@ int run_json_mode(const std::string& path, int samples, bool tiny,
   std::fclose(out);
 
   for (const BenchResult& r : results) {
-    std::printf("%-36s %14.1f ns/inference", r.name.c_str(),
+    std::printf("%-40s %14.1f ns/inference", r.name.c_str(),
                 r.ns_per_inference);
     if (r.calls.cold_ns > 0.0)
       std::printf("  (p50 %.1f, cold %.1f)", r.calls.p50_ns, r.calls.cold_ns);
-    if (r.images_per_sec > 0.0)
-      std::printf("  (%.1f images/sec)", r.images_per_sec);
     std::printf("\n");
   }
   std::printf("wrote %s\n", path.c_str());

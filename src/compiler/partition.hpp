@@ -1,6 +1,7 @@
 // Program partitioning: choose the cut points that split a lowered
-// LayerProgram into ir::ProgramSegments for pipeline-parallel execution
-// across multiple accelerator instances (engine::PipelineExecutor).
+// LayerProgram into ir::ProgramSegments, one per accelerator instance of a
+// multi-device pipeline. The CLI reports the modeled stages and runs them as
+// stage engines chained on one thread (engine::make_stage_engines).
 //
 // Two strategies:
 //   * balance_latency — equalize predicted per-segment cycles. The pipeline's

@@ -266,4 +266,44 @@ std::unique_ptr<Engine> make_engine(EngineKind kind,
   return nullptr;  // unreachable
 }
 
+std::vector<std::unique_ptr<Engine>> make_stage_engines(
+    EngineKind kind, const ir::LayerProgram& program,
+    const std::vector<ir::ProgramSegment>& segments) {
+  RSNN_REQUIRE(!segments.empty(), "a partition needs at least one segment");
+  RSNN_REQUIRE(segments.front().begin == 0 &&
+                   segments.back().end == program.size(),
+               "segments must cover the whole program (ops [0, "
+                   << program.size() << "))");
+  for (std::size_t s = 0; s + 1 < segments.size(); ++s)
+    RSNN_REQUIRE(segments[s].end == segments[s + 1].begin,
+                 "segments must be contiguous (segment " << s << " ends at "
+                     << segments[s].end << ", segment " << s + 1
+                     << " begins at " << segments[s + 1].begin << ")");
+  for (std::size_t s = 0; s < segments.size(); ++s)
+    RSNN_REQUIRE(segments[s].is_relowered() == segments.front().is_relowered(),
+                 "segments mix inherited and re-lowered annotations (segment "
+                     << s << " differs from segment 0)");
+  std::vector<std::unique_ptr<Engine>> stages;
+  stages.reserve(segments.size());
+  for (const ir::ProgramSegment& segment : segments)
+    stages.push_back(make_engine(kind, program, segment));
+  return stages;
+}
+
+hw::AccelRunResult run_stages(
+    const std::vector<std::unique_ptr<Engine>>& stages, const TensorI& codes) {
+  RSNN_REQUIRE(!stages.empty(), "no stage engines to run");
+  hw::AccelRunResult result;
+  TensorI boundary;
+  const TensorI* input = &codes;
+  for (const std::unique_ptr<Engine>& stage : stages) {
+    SegmentRunResult out = stage->run_segment(*input);
+    hw::merge_segment_result(result, std::move(out.stats));
+    boundary = std::move(out.boundary_codes);
+    input = &boundary;
+  }
+  hw::finalize_run(result, stages.back()->program().config().cycle_ns());
+  return result;
+}
+
 }  // namespace rsnn::engine

@@ -24,10 +24,12 @@
 //
 // Segment scope: an engine executes one ir::ProgramSegment — by default the
 // whole program, but make_engine(kind, program, segment) builds a stage
-// engine over a sub-program for pipeline-parallel execution. run_segment()
-// is the uniform entry point: it consumes the activation codes entering the
-// segment and yields per-op stats plus either logits (final segment) or the
-// boundary codes crossing the downstream cut.
+// engine over a sub-program, one simulated device of a partitioned
+// deployment. run_segment() is the uniform entry point: it consumes the
+// activation codes entering the segment and yields per-op stats plus either
+// logits (final segment) or the boundary codes crossing the downstream cut.
+// make_stage_engines() and run_stages() chain one stage engine per segment
+// on the calling thread.
 //
 // Lifetime: an engine borrows the program (and, through it, the network);
 // both must outlive the engine.
@@ -115,5 +117,22 @@ std::unique_ptr<Engine> make_engine(EngineKind kind,
 std::unique_ptr<Engine> make_engine(EngineKind kind,
                                     const ir::LayerProgram& program,
                                     const ir::ProgramSegment& segment);
+
+/// One stage engine of `kind` per segment of a partition of `program` (as
+/// produced by ir::make_segments or the compiler partitioners). Throws
+/// ContractViolation unless the segments start at op 0, end at
+/// program.size(), meet without gaps or overlaps, and are all inherited or
+/// all re-lowered.
+std::vector<std::unique_ptr<Engine>> make_stage_engines(
+    EngineKind kind, const ir::LayerProgram& program,
+    const std::vector<ir::ProgramSegment>& segments);
+
+/// Run one image's codes through `stages` in order on the calling thread:
+/// each stage's boundary codes enter the next, and the per-op stats merge
+/// into one result. Logits are bit-identical to monolithic execution; with
+/// inherited segments so are the cycles, adder ops and traffic, while
+/// re-lowered segments report their per-device cycles.
+hw::AccelRunResult run_stages(
+    const std::vector<std::unique_ptr<Engine>>& stages, const TensorI& codes);
 
 }  // namespace rsnn::engine

@@ -112,8 +112,8 @@ class Accelerator {
                               std::size_t batch, AccelRunResult* results,
                               SimMode mode = SimMode::kCycleAccurate) const;
 
-  /// Run only the op range [begin, end) — the pipeline executor's entry
-  /// point. `codes` must be shaped as op `begin`'s input (the requantized
+  /// Run only the op range [begin, end) — a stage engine's entry point.
+  /// `codes` must be shaped as op `begin`'s input (the requantized
   /// activation codes crossing the upstream cut). When `end` stops short of
   /// the program's final op the result carries no logits and
   /// `boundary_codes` (if non-null) receives the activation codes crossing

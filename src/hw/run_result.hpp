@@ -43,8 +43,9 @@ struct AccelRunResult {
 void reset_run_result(AccelRunResult& result);
 
 /// Fold the stats of one program segment into an aggregate: totals sum,
-/// per-layer records append in op order. Logits, predicted class and latency
-/// are untouched — call finalize_run() once every segment is merged.
+/// per-layer records append in op order, and the final segment's logits
+/// move over. Predicted class and latency are untouched — call
+/// finalize_run() once every segment is merged.
 void merge_segment_result(AccelRunResult& aggregate, AccelRunResult&& part);
 
 /// Recompute latency_us (total cycles at `cycle_ns`) and predicted_class

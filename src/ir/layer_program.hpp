@@ -203,16 +203,16 @@ void annotate_op(LayerOp& op, const hw::AcceleratorConfig& config,
                  int time_bits, int weight_bits,
                  hw::WeightPlacement placement);
 
-/// One contiguous op range of a partitioned program — the unit of pipeline-
-/// parallel execution. The accelerator is a layer-wise dataflow machine, so
+/// One contiguous op range of a partitioned program — one device of a
+/// multi-device pipeline. The accelerator is a layer-wise dataflow machine, so
 /// any interior op boundary is a legal cut point; the interface crossing a
 /// cut is the requantized T-bit activation-code tensor of the upstream op
 /// (`in_shape` here, `out_shape` of the predecessor).
 ///
 /// Two lowering modes (make_segments' SegmentLowering):
 ///   * inherited — the segment borrows the monolithic program's placement
-///     and latency annotations (`relowered` stays null). Pipelined execution
-///     is then bit-identical to monolithic execution including cycles.
+///     and latency annotations (`relowered` stays null). Chained stage
+///     execution is then bit-identical to monolithic execution including cycles.
 ///   * re-lowered — the segment carries its own self-contained LayerProgram
 ///     compiled against the device's hw::Config (`relowered` non-null):
 ///     placement, buffer sizing and latency are planned per device, so a

@@ -155,8 +155,8 @@ QuantizedNetwork load_quantized(const std::string& path) {
   QuantizedNetwork qnet;
   qnet.time_bits = read_i32(is);
   qnet.weight_bits = read_i32(is);
-  // The same bounds quantize() enforces: the fast path's 32-bit SIMD
-  // multiply relies on a T-bit code times an int8 weight fitting in int32.
+  // The fast path's 32-bit SIMD multiply relies on a T-bit code times an
+  // int8 weight fitting in int32.
   RSNN_REQUIRE(qnet.time_bits >= 1 && qnet.time_bits <= 16,
                "corrupt header: time_bits " << qnet.time_bits
                                             << " outside 1..16 in " << path);

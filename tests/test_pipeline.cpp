@@ -1,17 +1,17 @@
-// Partitioned execution: pipeline-parallel runs over ProgramSegments must be
+// Partitioned execution: stage engines chained over ProgramSegments must be
 // bit-identical to monolithic execution on every engine, per-segment
 // resource/power reports must sum exactly to the monolithic reports, and the
 // compiler partitioners must produce valid, optimal/feasible partitions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "compiler/partition.hpp"
 #include "engine/engine.hpp"
-#include "engine/pipeline.hpp"
 #include "hw/accelerator.hpp"
 #include "hw/power_model.hpp"
 #include "hw/resource_model.hpp"
@@ -21,6 +21,8 @@
 
 namespace rsnn::engine {
 namespace {
+
+using rsnn::testing::expect_bit_identical;
 
 /// LeNet-5 at T=4 on the paper's reference design — the acceptance workload.
 struct LeNetFixture {
@@ -43,31 +45,6 @@ std::vector<TensorI> lenet_batch(int count, int T) {
     codes.push_back(quant::encode_activations(
         rsnn::testing::random_image(Shape{1, 32, 32}, rng), T));
   return codes;
-}
-
-void expect_identical(const hw::AccelRunResult& run,
-                      const hw::AccelRunResult& ref, const char* what) {
-  EXPECT_EQ(run.logits, ref.logits) << what;
-  EXPECT_EQ(run.predicted_class, ref.predicted_class) << what;
-  EXPECT_EQ(run.total_cycles, ref.total_cycles) << what;
-  EXPECT_EQ(run.total_adder_ops, ref.total_adder_ops) << what;
-  EXPECT_EQ(run.dram_bits, ref.dram_bits) << what;
-  EXPECT_EQ(run.traffic_total.act_read_bits, ref.traffic_total.act_read_bits)
-      << what;
-  EXPECT_EQ(run.traffic_total.act_write_bits, ref.traffic_total.act_write_bits)
-      << what;
-  EXPECT_EQ(run.traffic_total.weight_read_bits,
-            ref.traffic_total.weight_read_bits)
-      << what;
-  ASSERT_EQ(run.layers.size(), ref.layers.size()) << what;
-  for (std::size_t li = 0; li < run.layers.size(); ++li) {
-    EXPECT_EQ(run.layers[li].cycles, ref.layers[li].cycles)
-        << what << " layer " << li;
-    EXPECT_EQ(run.layers[li].adder_ops, ref.layers[li].adder_ops)
-        << what << " layer " << li;
-    EXPECT_EQ(run.layers[li].input_spikes, ref.layers[li].input_spikes)
-        << what << " layer " << li;
-  }
 }
 
 // ---------------------------------------------------- segment model (ir)
@@ -209,9 +186,9 @@ TEST(Partitioners, ParsePartitionNamesRoundTrip) {
   EXPECT_THROW(compiler::parse_partition(""), ContractViolation);
 }
 
-// ------------------------------------- pipeline equivalence (acceptance)
+// ------------------------------------- chained stage engines (acceptance)
 
-/// For every engine, a 2- and 3-segment LeNet pipeline must produce
+/// For every engine, a 2- and 3-segment LeNet chain must produce
 /// bit-identical logits and identical summed cycles / adder ops / traffic
 /// to the monolithic run.
 class PipelineEquivalence : public ::testing::TestWithParam<EngineKind> {};
@@ -228,27 +205,21 @@ TEST_P(PipelineEquivalence, LeNetSegmentedMatchesMonolithic) {
   for (const int stages : {2, 3}) {
     const auto segments =
         compiler::partition_balance_latency(fx.program, stages);
-    PipelineExecutor pipe(fx.program, segments, GetParam(),
-                          /*queue_capacity=*/2);
-    ASSERT_EQ(pipe.stages(), stages);
-
-    const auto results = pipe.run_pipeline(batch);
-    ASSERT_EQ(results.size(), batch.size());
-    EXPECT_EQ(pipe.last_stats().images,
-              static_cast<std::int64_t>(batch.size()));
-    EXPECT_GT(pipe.last_stats().images_per_sec, 0.0);
+    const auto engines = make_stage_engines(GetParam(), fx.program, segments);
+    ASSERT_EQ(engines.size(), static_cast<std::size_t>(stages));
 
     for (std::size_t i = 0; i < batch.size(); ++i) {
       SCOPED_TRACE(::testing::Message() << stages << " stages, image " << i);
-      ASSERT_EQ(results[i].layers.size(), fx.program.size());
-      expect_identical(results[i], reference[i], "pipeline vs monolithic");
+      const hw::AccelRunResult chained = run_stages(engines, batch[i]);
+      ASSERT_EQ(chained.layers.size(), fx.program.size());
+      expect_bit_identical(chained, reference[i]);
     }
 
-    // A second batch through the same warm pipeline (reused worker state)
-    // must agree as well.
-    const auto again = pipe.run_pipeline(batch);
+    // A second pass through the same warm stage engines (reused execution
+    // state) must agree as well.
     for (std::size_t i = 0; i < batch.size(); ++i)
-      EXPECT_EQ(again[i].logits, reference[i].logits) << "warm image " << i;
+      EXPECT_EQ(run_stages(engines, batch[i]).logits, reference[i].logits)
+          << "warm image " << i;
   }
 }
 
@@ -270,16 +241,16 @@ TEST(Pipeline, EveryInteriorCutMatchesMonolithicCycleAccurate) {
   const hw::AccelRunResult ref = monolithic->run_codes(batch[0]);
 
   for (std::size_t cut = 1; cut < fx.program.size(); ++cut) {
-    PipelineExecutor pipe(fx.program, ir::make_segments(fx.program, {cut}),
-                          EngineKind::kCycleAccurate);
-    const auto results = pipe.run_pipeline(batch);
     SCOPED_TRACE(::testing::Message() << "cut at op " << cut);
-    expect_identical(results[0], ref, "2-stage sweep");
+    const auto engines =
+        make_stage_engines(EngineKind::kCycleAccurate, fx.program,
+                           ir::make_segments(fx.program, {cut}));
+    expect_bit_identical(run_stages(engines, batch[0]), ref);
   }
 }
 
 TEST(Pipeline, SegmentEnginesComposeManually) {
-  // run_segment chaining by hand (no executor): boundary codes of stage s
+  // run_segment chaining by hand (no helper): boundary codes of stage s
   // feed stage s+1; merged stats equal the monolithic run.
   const LeNetFixture fx;
   const auto batch = lenet_batch(1, fx.qnet.time_bits);
@@ -300,7 +271,7 @@ TEST(Pipeline, SegmentEnginesComposeManually) {
     }
   }
   hw::finalize_run(merged, fx.program.config().cycle_ns());
-  expect_identical(merged, ref, "manual composition");
+  expect_bit_identical(merged, ref);
 
   // Stage engines refuse the whole-program entry point.
   auto stage = make_engine(EngineKind::kCycleAccurate, fx.program, segments[1]);
@@ -310,21 +281,54 @@ TEST(Pipeline, SegmentEnginesComposeManually) {
 TEST(Pipeline, EmptyBatchAndShapeErrors) {
   const LeNetFixture fx;
   const auto segments = compiler::partition_balance_latency(fx.program, 2);
-  PipelineExecutor pipe(fx.program, segments, EngineKind::kReference);
-
-  const auto results = pipe.run_pipeline({});
-  EXPECT_TRUE(results.empty());
-  EXPECT_EQ(pipe.last_stats().images, 0);
-  EXPECT_EQ(pipe.last_stats().stages, 2);
-
-  // A malformed image fails the batch with the stage's contract violation
-  // and leaves the executor usable.
-  std::vector<TensorI> bad{TensorI(Shape{1, 8, 8})};
-  EXPECT_THROW(pipe.run_pipeline(bad), ContractViolation);
+  const auto engines =
+      make_stage_engines(EngineKind::kReference, fx.program, segments);
   const auto batch = lenet_batch(2, fx.qnet.time_bits);
-  const auto ok = pipe.run_pipeline(batch);
-  EXPECT_EQ(ok.size(), batch.size());
-  EXPECT_FALSE(ok[0].logits.empty());
+
+  EXPECT_THROW(run_stages({}, batch[0]), ContractViolation);
+
+  // A malformed image fails with the stage's contract violation and leaves
+  // the stage engines usable.
+  EXPECT_THROW(run_stages(engines, TensorI(Shape{1, 8, 8})),
+               ContractViolation);
+  for (const TensorI& codes : batch)
+    EXPECT_FALSE(run_stages(engines, codes).logits.empty());
+}
+
+TEST(Pipeline, StageEnginesRejectMalformedPartitions) {
+  // Every segment below is valid on its own, so each rejection comes from
+  // the partition checks, and names what is wrong with the list.
+  const LeNetFixture fx;
+  const auto three = ir::make_segments(fx.program, {3, 5});
+  const auto two = ir::make_segments(fx.program, {4});
+  const auto relowered =
+      ir::make_segments(fx.program, {4}, ir::SegmentLowering::kRelower);
+  const auto expect_rejected =
+      [&](const std::vector<ir::ProgramSegment>& segments,
+          const std::string& reason) {
+        try {
+          make_stage_engines(EngineKind::kReference, fx.program, segments);
+          ADD_FAILURE() << "expected ContractViolation: " << reason;
+        } catch (const ContractViolation& e) {
+          EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+              << e.what();
+        }
+      };
+
+  expect_rejected({}, "at least one segment");
+  expect_rejected({three[1], three[2]}, "cover the whole program");
+  expect_rejected({three[0], three[1]}, "cover the whole program");
+  expect_rejected({three[0], three[2]}, "contiguous");           // gap
+  expect_rejected({two[0], three[1], three[2]}, "contiguous");   // overlap
+  expect_rejected({two[0], relowered[1]}, "mix inherited and re-lowered");
+  expect_rejected({relowered[0], two[1]}, "mix inherited and re-lowered");
+
+  EXPECT_EQ(
+      make_stage_engines(EngineKind::kReference, fx.program, three).size(),
+      3u);
+  EXPECT_EQ(make_stage_engines(EngineKind::kReference, fx.program, relowered)
+                .size(),
+            2u);
 }
 
 // ------------------------------- resource / power partition (acceptance)

@@ -14,7 +14,6 @@
 #include "common/rng.hpp"
 #include "compiler/partition.hpp"
 #include "engine/engine.hpp"
-#include "engine/pipeline.hpp"
 #include "hw/accelerator.hpp"
 #include "hw/pingpong.hpp"
 #include "hw/resource_model.hpp"
@@ -173,7 +172,7 @@ TEST(SegmentLowering, RelowerSegmentsCarryProgramsAndCutBits) {
                ContractViolation);
 }
 
-// ------------------------------------ re-lowered pipeline (all 4 engines)
+// --------------------------------- re-lowered stage chain (all 4 engines)
 
 class RelowerEquivalence : public ::testing::TestWithParam<EngineKind> {};
 
@@ -192,21 +191,18 @@ TEST_P(RelowerEquivalence, LogitsBitIdenticalWhileStageCyclesImprove) {
   EXPECT_EQ(segments[0].onchip_param_bits, segments[0].param_bits);
   EXPECT_GT(segments[0].param_bits, 0);
 
-  PipelineExecutor pipe(fx.program, segments, GetParam());
-  EXPECT_TRUE(pipe.relowered());
-  const auto results = pipe.run_pipeline(batch);
-  ASSERT_EQ(results.size(), batch.size());
-
+  const auto engines = make_stage_engines(GetParam(), fx.program, segments);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     SCOPED_TRACE(::testing::Message() << "image " << i);
-    ASSERT_EQ(results[i].layers.size(), fx.program.size());
+    const hw::AccelRunResult chained = run_stages(engines, batch[i]);
+    ASSERT_EQ(chained.layers.size(), fx.program.size());
     // Logits are bit-identical; cycles are strictly better (the promoted
     // stage dropped its DRAM prefetch).
-    EXPECT_EQ(results[i].logits, reference[i].logits);
-    EXPECT_EQ(results[i].predicted_class, reference[i].predicted_class);
-    EXPECT_EQ(results[i].total_adder_ops, reference[i].total_adder_ops);
-    EXPECT_LT(results[i].total_cycles, reference[i].total_cycles);
-    EXPECT_LT(results[i].dram_bits, reference[i].dram_bits);
+    EXPECT_EQ(chained.logits, reference[i].logits);
+    EXPECT_EQ(chained.predicted_class, reference[i].predicted_class);
+    EXPECT_EQ(chained.total_adder_ops, reference[i].total_adder_ops);
+    EXPECT_LT(chained.total_cycles, reference[i].total_cycles);
+    EXPECT_LT(chained.dram_bits, reference[i].dram_bits);
   }
 }
 
@@ -228,10 +224,9 @@ TEST(RelowerEquivalence, AllEnginesAgreeOnRelowereredStageCycles) {
       ir::make_segments(fx.program, {2, 4, 6}, ir::SegmentLowering::kRelower);
 
   std::vector<hw::AccelRunResult> per_engine;
-  for (const EngineKind kind : all_engines()) {
-    PipelineExecutor pipe(fx.program, segments, kind);
-    per_engine.push_back(pipe.run_pipeline(batch)[0]);
-  }
+  for (const EngineKind kind : all_engines())
+    per_engine.push_back(
+        run_stages(make_stage_engines(kind, fx.program, segments), batch[0]));
   for (std::size_t e = 1; e < per_engine.size(); ++e) {
     SCOPED_TRACE(engine_name(all_engines()[e]));
     EXPECT_EQ(per_engine[e].logits, per_engine[0].logits);
@@ -315,14 +310,15 @@ TEST(RelowerVgg11, StagePromotedFromDramWithLowerCycles) {
   EXPECT_EQ(fast.stats.total_cycles, relowered[p].predicted_cycles);
   EXPECT_EQ(slow.stats.total_cycles, inherited[p].predicted_cycles);
 
-  // End to end: the re-lowered pipeline still produces the monolithic
+  // End to end: the re-lowered stage chain still produces the monolithic
   // logits (fast path at VGG scale).
   const auto monolithic = make_engine(EngineKind::kCycleAccurate, program);
   const hw::AccelRunResult ref = monolithic->run_codes(input);
-  PipelineExecutor pipe(program, relowered, EngineKind::kCycleAccurate);
-  const auto results = pipe.run_pipeline({input});
-  EXPECT_EQ(results[0].logits, ref.logits);
-  EXPECT_LT(results[0].total_cycles, ref.total_cycles);
+  const hw::AccelRunResult chained = run_stages(
+      make_stage_engines(EngineKind::kCycleAccurate, program, relowered),
+      input);
+  EXPECT_EQ(chained.logits, ref.logits);
+  EXPECT_LT(chained.total_cycles, ref.total_cycles);
 }
 
 // ----------------------------------------------- partitioner cost models

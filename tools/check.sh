@@ -10,8 +10,9 @@
 # rerun of the SIMD-sensitive suites
 # (RSNN_FORCE_SCALAR=1 pins the vector kernels' scalar fallback to the same
 # bit-identical results), an RTL-emission smoke, a sanitizer (ASan+UBSan)
-# pass over the threaded executor tests, and a ThreadSanitizer pass over the
-# same suites (the serving pool's supervision / retry machinery is
+# pass over the serving, fault, segment-chain, fast-path and property
+# suites, and a ThreadSanitizer pass over the serving, fault, segment-chain
+# and fast-path suites (the serving pool's supervision / retry machinery is
 # lock-heavy; TSan is the tier that catches ordering bugs ASan cannot).
 #
 # The library targets build with -Wall -Wextra; this script treats any
@@ -131,17 +132,17 @@ for stage in stage0 stage1; do
 done
 echo "==== RTL emission smoke passed ===="
 
-# 4. Sanitizer pass (ASan + UBSan): builds only the threaded executor tests
-#    plus the re-lowering suite and runs them instrumented, validating the
-#    pipeline executor's bounded queues / worker threads, the serving pool's
-#    admission queue and replica dispatchers, the serving daemon's socket /
-#    registry / connection threads, the fault-injection chaos suite and the
-#    per-device re-lowering path for memory and UB errors without paying for
-#    a full sanitized suite run.
+# 4. Sanitizer pass (ASan + UBSan): builds only the suites below and runs
+#    them instrumented, validating the serving pool's admission queue and
+#    replica dispatchers, the serving daemon's socket / registry /
+#    connection threads, the fault-injection chaos suite, the stage engines'
+#    mid-program entry (inherited and re-lowered segments), the fast path
+#    and the property sweep for memory and UB errors without paying for a
+#    full sanitized suite run.
 echo "==== [Release+RSNN_SANITIZE] configure ===="
 cmake -B build-check-sanitize -S . \
     -DCMAKE_BUILD_TYPE=Release -DRSNN_SANITIZE=ON
-echo "==== [Release+RSNN_SANITIZE] build (threaded executor tests) ===="
+echo "==== [Release+RSNN_SANITIZE] build (sanitized suites) ===="
 cmake --build build-check-sanitize -j "$JOBS" \
     --target test_pipeline test_equivalence_packed test_relower test_serving \
       test_serve test_faults test_fastpath test_property
@@ -149,14 +150,15 @@ echo "==== [Release+RSNN_SANITIZE] ctest ===="
 ctest --test-dir build-check-sanitize --output-on-failure -j "$JOBS" \
     -R 'test_pipeline|test_equivalence_packed|test_relower|test_serving|test_serve$|test_faults|test_fastpath|test_property'
 
-# 5. ThreadSanitizer pass: same threaded suites under RSNN_SANITIZE_THREAD
-#    (its own build directory — TSan and ASan cannot share one). This is
-#    the tier that validates the serving pool's replica supervision, retry
-#    backoff and shutdown paths for data races and lock-order inversions.
+# 5. ThreadSanitizer pass: the serving, fault, segment-chain and fast-path
+#    suites under RSNN_SANITIZE_THREAD (its own build directory — TSan and
+#    ASan cannot share one). This is the tier that validates the serving
+#    pool's replica supervision, retry backoff and shutdown paths for data
+#    races and lock-order inversions.
 echo "==== [Release+RSNN_SANITIZE_THREAD] configure ===="
 cmake -B build-check-tsan -S . \
     -DCMAKE_BUILD_TYPE=Release -DRSNN_SANITIZE_THREAD=ON
-echo "==== [Release+RSNN_SANITIZE_THREAD] build (threaded executor tests) ===="
+echo "==== [Release+RSNN_SANITIZE_THREAD] build (sanitized suites) ===="
 cmake --build build-check-tsan -j "$JOBS" \
     --target test_pipeline test_equivalence_packed test_serving test_serve \
       test_faults test_fastpath

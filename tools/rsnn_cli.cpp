@@ -26,7 +26,6 @@
 #include "compiler/compile.hpp"
 #include "compiler/partition.hpp"
 #include "engine/engine.hpp"
-#include "engine/pipeline.hpp"
 #include "eval_data.hpp"
 #include "hw/accelerator.hpp"
 #include "hw/power_model.hpp"
@@ -59,7 +58,7 @@ std::vector<FlagSpec> train_flags() {
                 "PATH"),
       count_flag("epochs", "4", "training epochs", 1),
       count_flag("samples", "3000", "synthetic training samples", 1),
-      count_flag("weight-bits", "3", "QAT weight precision", 1, 8),
+      count_flag("weight-bits", "3", "QAT weight precision", 2, 8),
   };
 }
 
@@ -71,7 +70,7 @@ std::vector<FlagSpec> convert_flags() {
       text_flag("out", "", "quantized model path; <model>.qsnn when omitted",
                 "PATH"),
       count_flag("T", "4", "activation time bits (spike-train length)", 1, 8),
-      count_flag("weight-bits", "3", "quantized weight precision", 1, 8),
+      count_flag("weight-bits", "3", "quantized weight precision", 2, 8),
       toggle_flag("per-channel", "0", "per-channel weight scales"),
   };
 }
@@ -246,11 +245,13 @@ int cmd_run(int argc, char** argv) {
   const std::size_t samples = static_cast<std::size_t>(args.count("samples"));
   const data::Dataset eval = tools::load_eval_data(qnet.input_shape, samples);
 
+  std::vector<TensorI> eval_codes;
+  eval_codes.reserve(eval.size());
   std::int64_t correct = 0;
   for (std::size_t i = 0; i < eval.size(); ++i) {
-    const TensorI codes =
-        quant::encode_activations(eval.images[i], qnet.time_bits);
-    if (qnet.classify(codes) == eval.labels[i]) ++correct;
+    eval_codes.push_back(
+        quant::encode_activations(eval.images[i], qnet.time_bits));
+    if (qnet.classify(eval_codes.back()) == eval.labels[i]) ++correct;
   }
 
   const auto run = eng->run_image(eval.images[0]);
@@ -262,11 +263,13 @@ int cmd_run(int argc, char** argv) {
                   static_cast<double>(eval.size()));
   std::printf("%s", hw::run_summary(design.config, run, resources, power).c_str());
 
-  // Optional pipeline-parallel report: partition the program into stages
-  // (one simulated accelerator per stage) and stream the eval set through
-  // them. Logits are bit-identical to monolithic execution; with --relower 1
-  // each stage is re-compiled against its own device (per-stage placement
-  // and cycles improve wherever a stage's weights fit its BRAM budget).
+  // Optional multi-device report: partition the program into stages, one
+  // simulated accelerator each, and report the modeled pipeline, whose
+  // throughput the slowest stage sets. With --relower 1 each stage is
+  // re-compiled against its own device (per-stage placement and cycles
+  // improve wherever a stage's weights fit its BRAM budget). The eval set
+  // then runs through the stage engines chained on this thread, whose logits
+  // must match monolithic execution.
   if (args.is_set("pipeline")) {
     const std::string partition_name_arg = args.text("partition");
     int pipeline_stages = 0;
@@ -311,14 +314,36 @@ int cmd_run(int argc, char** argv) {
     }
     print_stage_table(design.program, segments, relower);
 
-    engine::PipelineExecutor pipe(design.program, segments, kind);
-    pipe.run_pipeline_images(eval.images);
-    const engine::PipelineStats& pstats = pipe.last_stats();
+    std::size_t bottleneck = 0;
+    for (std::size_t s = 1; s < segments.size(); ++s)
+      if (segments[s].predicted_cycles > segments[bottleneck].predicted_cycles)
+        bottleneck = s;
+    const std::int64_t bottleneck_cycles =
+        segments[bottleneck].predicted_cycles;
     std::printf(
-        "  %lld images through %d stage(s) in %.1f ms -> %.1f images/sec "
-        "(simulator wall clock)\n",
-        static_cast<long long>(pstats.images), pstats.stages, pstats.wall_ms,
-        pstats.images_per_sec);
+        "  bottleneck: stage %zu, ~%lld cycles -> %.1f images/sec at %g MHz "
+        "(modeled, one device per stage)\n",
+        bottleneck, static_cast<long long>(bottleneck_cycles),
+        1e9 / (static_cast<double>(bottleneck_cycles) *
+               design.config.cycle_ns()),
+        design.config.clock_mhz);
+
+    const auto stages =
+        engine::make_stage_engines(kind, design.program, segments);
+    for (std::size_t i = 0; i < eval_codes.size(); ++i) {
+      if (engine::run_stages(stages, eval_codes[i]).logits !=
+          eng->run_codes(eval_codes[i]).logits) {
+        std::fprintf(stderr,
+                     "error: chained stage engines' logits differ from "
+                     "monolithic execution on image %zu\n",
+                     i);
+        return 1;
+      }
+    }
+    std::printf(
+        "  chained stage engines: logits match monolithic execution on all "
+        "%zu images\n",
+        eval_codes.size());
   }
   return 0;
 }
