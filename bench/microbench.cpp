@@ -1,23 +1,20 @@
-// Microbenchmarks for the simulator's hot paths: radix encode/decode, the
-// quantized integer forward pass, the accelerator's fast path and stepped
-// dataflow, and the analytic latency model. These track simulator
+// Microbenchmarks for the simulator's hot paths: radix encoding and the
+// inference engines (the accelerator's fast path, single and batched, the
+// stepped dataflow and the other engines). These track simulator
 // performance, not paper results.
 //
-// Two modes:
-//   * default — google-benchmark registrations (when the library is
-//     available at configure time).
-//   * --json <path> [--samples N] [--tiny] [--compare OLD.json] —
-//     self-contained chrono timing of the inference paths, written as
-//     machine-readable JSON (BENCH_*.json style) so successive PRs can
-//     compare ns/inference. Each timed entry also records its cold (first)
-//     call apart and the p10/p50/p90 of its warm per-call times, so a
-//     comparison can use medians instead of one mean. This mode needs only
-//     the standard library.
-//     --tiny restricts the run to the small-network entries — including
-//     a 2-segment stage-engine chain — plus radix encoding (seconds,
-//     not minutes — the CI bench-smoke tier). --compare reads a previous
-//     run's JSON, prints the per-entry speedup, and exits non-zero if any
-//     shared entry regressed by more than 10%.
+//   microbench --json <path> [--samples N] [--tiny] [--compare OLD.json]
+//
+// Self-contained chrono timing, written as machine-readable JSON
+// (BENCH_*.json style) so successive changes can compare ns/inference. Each
+// timed entry also records its cold (first) call apart and the p10/p50/p90
+// of its warm per-call times, so a comparison can use medians instead of
+// one mean. Needs only the standard library.
+// --tiny restricts the run to the small-network entries — including a
+// 2-segment stage-engine chain — plus radix encoding (seconds, not minutes
+// — the CI bench-smoke tier). --compare reads a previous run's JSON, prints
+// the per-entry speedup, and exits non-zero if any shared entry regressed by
+// more than 10%. Without --json, microbench prints its usage and exits 1.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -44,10 +41,6 @@
 #include "nn/pool2d.hpp"
 #include "nn/zoo.hpp"
 #include "quant/quantize.hpp"
-
-#ifndef RSNN_NO_GOOGLE_BENCHMARK
-#include <benchmark/benchmark.h>
-#endif
 
 namespace {
 
@@ -573,84 +566,6 @@ int run_json_mode(const std::string& path, int samples, bool tiny,
   return 0;
 }
 
-// ------------------------------------------------- google-benchmark mode
-
-#ifndef RSNN_NO_GOOGLE_BENCHMARK
-
-void BM_RadixEncode(benchmark::State& state) {
-  Rng rng(1);
-  const TensorF image = random_image(Shape{1, 32, 32}, rng);
-  const int T = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(encoding::radix_encode(image, T));
-  }
-  state.SetItemsProcessed(state.iterations() * image.numel());
-}
-BENCHMARK(BM_RadixEncode)->Arg(3)->Arg(6);
-
-void BM_RadixRoundTrip(benchmark::State& state) {
-  Rng rng(2);
-  const TensorF image = random_image(Shape{1, 32, 32}, rng);
-  for (auto _ : state) {
-    const auto train = encoding::radix_encode(image, 4);
-    benchmark::DoNotOptimize(encoding::radix_decode_codes(train));
-  }
-}
-BENCHMARK(BM_RadixRoundTrip);
-
-void BM_QuantizedForward(benchmark::State& state) {
-  const auto qnet = make_qnet(static_cast<int>(state.range(0)));
-  Rng rng(3);
-  const TensorF image = random_image(Shape{1, 16, 16}, rng);
-  const TensorI codes = quant::encode_activations(image, qnet.time_bits);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(qnet.forward(codes));
-  }
-}
-BENCHMARK(BM_QuantizedForward)->Arg(3)->Arg(6);
-
-void BM_CycleAccurateAccelerator(benchmark::State& state) {
-  const auto qnet = make_qnet(4);
-  hw::AcceleratorConfig cfg;
-  cfg.num_conv_units = static_cast<int>(state.range(0));
-  cfg.conv = hw::ConvUnitGeometry{16, 3, 24};
-  cfg.pool = hw::PoolUnitGeometry{8, 2, 16};
-  cfg.linear = hw::LinearUnitGeometry{8, 24};
-  hw::Accelerator accel(cfg, qnet);
-  Rng rng(4);
-  const TensorF image = random_image(Shape{1, 16, 16}, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(accel.run_image(image, hw::SimMode::kCycleAccurate));
-  }
-}
-BENCHMARK(BM_CycleAccurateAccelerator)->Arg(1)->Arg(4);
-
-void BM_CycleAccurateLeNetT8(benchmark::State& state) {
-  const auto qnet = make_lenet_qnet(8);
-  hw::Accelerator accel(hw::lenet_reference_config(), qnet);
-  Rng rng(7);
-  const TensorF image = random_image(Shape{1, 32, 32}, rng);
-  const TensorI codes = quant::encode_activations(image, 8);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(accel.run_codes(codes, hw::SimMode::kCycleAccurate));
-  }
-}
-BENCHMARK(BM_CycleAccurateLeNetT8);
-
-void BM_LatencyPrediction(benchmark::State& state) {
-  Rng rng(6);
-  nn::Network lenet = nn::make_lenet5();
-  lenet.init_params(rng);
-  const auto qnet = quant::quantize(lenet, quant::QuantizeConfig{3, 4});
-  hw::Accelerator accel(hw::lenet_reference_config(), qnet);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(accel.predict_total_cycles());
-  }
-}
-BENCHMARK(BM_LatencyPrediction);
-
-#endif  // RSNN_NO_GOOGLE_BENCHMARK
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -670,17 +585,8 @@ int main(int argc, char** argv) {
   }
   if (!json_path.empty())
     return run_json_mode(json_path, samples, tiny, compare_path);
-
-#ifndef RSNN_NO_GOOGLE_BENCHMARK
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-#else
   std::fprintf(stderr,
-               "microbench built without google-benchmark; use --json <path> "
-               "[--samples N]\n");
+               "usage: microbench --json <path> [--samples N] [--tiny] "
+               "[--compare OLD.json]\n");
   return 1;
-#endif
 }

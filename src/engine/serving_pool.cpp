@@ -8,31 +8,6 @@
 
 namespace rsnn::engine {
 
-const char* policy_name(AdmissionPolicy policy) {
-  switch (policy) {
-    case AdmissionPolicy::kFifo: return "fifo";
-    case AdmissionPolicy::kBatch: return "batch";
-    case AdmissionPolicy::kReject: return "reject";
-  }
-  RSNN_REQUIRE(false, "unreachable admission policy");
-  return "";
-}
-
-AdmissionPolicy parse_policy(const std::string& name) {
-  if (name == "fifo") return AdmissionPolicy::kFifo;
-  if (name == "batch") return AdmissionPolicy::kBatch;
-  if (name == "reject") return AdmissionPolicy::kReject;
-  RSNN_REQUIRE(false, "unknown admission policy '"
-                          << name << "' (expected fifo, batch or reject)");
-  return AdmissionPolicy::kFifo;
-}
-
-std::string policy_parse_error(const std::string& name) {
-  if (name == "fifo" || name == "batch" || name == "reject") return "";
-  return "unknown admission policy '" + name +
-         "' (expected fifo, batch or reject)";
-}
-
 const char* status_name(RequestStatus status) {
   switch (status) {
     case RequestStatus::kOk: return "ok";
@@ -65,6 +40,12 @@ const char* health_name(ReplicaHealth health) {
 }
 
 namespace {
+
+// Replica health thresholds: a failed dispatch or a stall degrades a
+// replica; this many consecutive failed dispatches, or this many stalls,
+// quarantine it.
+constexpr int kQuarantineAfterFailures = 3;
+constexpr int kQuarantineAfterStalls = 2;
 
 int class_index(PriorityClass priority) {
   return priority == PriorityClass::kLatency ? 0 : 1;
@@ -116,17 +97,12 @@ ServingPool::ServingPool(const ir::LayerProgram& program, EngineKind kind,
   RSNN_REQUIRE(options_.replicas >= 1,
                "serving pool needs at least one replica, got "
                    << options_.replicas);
-  RSNN_REQUIRE(
-      options_.queue_capacity >= 1 ||
-          options_.policy == AdmissionPolicy::kReject,
-      "a zero-capacity admission queue is only legal with the reject "
-      "policy (every request would block forever under "
-          << policy_name(options_.policy) << ")");
-  if (options_.policy == AdmissionPolicy::kBatch) {
-    RSNN_REQUIRE(options_.max_batch >= 1,
-                 "batch policy needs max_batch >= 1, got "
-                     << options_.max_batch);
-  }
+  RSNN_REQUIRE(options_.queue_capacity >= 1 ||
+                   options_.on_full == OnFull::kReject,
+               "a zero-capacity admission queue is only legal when a full "
+               "queue rejects (every request would block forever)");
+  RSNN_REQUIRE(options_.max_batch >= 1,
+               "max_batch must be >= 1, got " << options_.max_batch);
   // The batch window and the retry backoff reach ms_duration(), whose
   // steady_clock conversion must not overflow.
   RSNN_REQUIRE(options_.max_wait_ms >= 0.0 &&
@@ -145,15 +121,6 @@ ServingPool::ServingPool(const ir::LayerProgram& program, EngineKind kind,
   RSNN_REQUIRE(options_.stall_timeout_ms >= 0.0,
                "stall_timeout_ms must be >= 0, got "
                    << options_.stall_timeout_ms);
-  RSNN_REQUIRE(options_.degrade_after_failures >= 1 &&
-                   options_.quarantine_after_failures >=
-                       options_.degrade_after_failures,
-               "health thresholds need 1 <= degrade <= quarantine, got "
-                   << options_.degrade_after_failures << " / "
-                   << options_.quarantine_after_failures);
-  RSNN_REQUIRE(options_.quarantine_after_stalls >= 1,
-               "quarantine_after_stalls must be >= 1, got "
-                   << options_.quarantine_after_stalls);
 
   if (!options_.fault_plan.empty())
     injector_ = std::make_unique<FaultInjector>(options_.fault_plan,
@@ -380,7 +347,7 @@ std::future<ServingResult> ServingPool::submit(Request&& request,
   }
   const bool blocking =
       request.options.admission == AdmissionMode::kBlocking &&
-      options_.policy != AdmissionPolicy::kReject;
+      options_.on_full == OnFull::kBlock;
   const bool allow_evict =
       request.options.admission == AdmissionMode::kBlocking;
   std::future<ServingResult> ticket;
@@ -477,32 +444,19 @@ std::vector<ServingPool::Queued> ServingPool::acquire_work(
       cv_not_empty_.wait_until(lock, wake);
   }
 
-  if (options_.policy == AdmissionPolicy::kBatch && options_.max_batch > 1) {
-    // Accumulate until the batch fills or the *oldest* request's window
-    // expires — a window that passes with one pending item dispatches that
-    // item alone rather than holding it for company. Under overload the
-    // window shrinks to zero: a queue already holding work at or above the
-    // shrink occupancy dispatches immediately instead of waiting for more.
-    bool shrink = false;
-    if (options_.queue_capacity > 0 &&
-        static_cast<double>(queue_.size()) /
-                static_cast<double>(options_.queue_capacity) >=
-            options_.overload_shrink_occupancy) {
-      shrink = true;
-      ++stats_.window_shrinks;
+  // Take up to max_batch - 1 more, holding for company until the *oldest*
+  // request's window expires — a window that passes with one pending item
+  // dispatches that item alone.
+  const auto window = work.front().admitted + ms_duration(options_.max_wait_ms);
+  while (work.size() < options_.max_batch) {
+    const auto now = Clock::now();
+    const std::size_t best = pick_best(now);
+    if (best != queue_.size()) {
+      work.push_back(pop_at(best));
+      continue;
     }
-    const auto window =
-        work.front().admitted + ms_duration(options_.max_wait_ms);
-    while (work.size() < options_.max_batch) {
-      const auto now = Clock::now();
-      const std::size_t best = pick_best(now);
-      if (best != queue_.size()) {
-        work.push_back(pop_at(best));
-        continue;
-      }
-      if (closed_ || shrink || now >= window) break;
-      cv_not_empty_.wait_until(lock, std::min(window, next_wake(now)));
-    }
+    if (closed_ || now >= window) break;
+    cv_not_empty_.wait_until(lock, std::min(window, next_wake(now)));
   }
   return work;
 }
@@ -523,12 +477,10 @@ bool ServingPool::record_dispatch_health(std::size_t replica_index,
   const ReplicaHealth before = health_[replica_index];
   ReplicaHealth after = ReplicaHealth::kHealthy;
   if (dead ||
-      consecutive_failures_[replica_index] >=
-          options_.quarantine_after_failures ||
-      stall_count_[replica_index] >= options_.quarantine_after_stalls)
+      consecutive_failures_[replica_index] >= kQuarantineAfterFailures ||
+      stall_count_[replica_index] >= kQuarantineAfterStalls)
     after = ReplicaHealth::kQuarantined;
-  else if (consecutive_failures_[replica_index] >=
-               options_.degrade_after_failures ||
+  else if (consecutive_failures_[replica_index] > 0 ||
            stall_count_[replica_index] > 0)
     after = ReplicaHealth::kDegraded;
   if (before != ReplicaHealth::kQuarantined) health_[replica_index] = after;
@@ -739,7 +691,6 @@ ServingStats ServingPool::stats() const {
                            static_cast<double>(accepted)
                      : 0.0;
   }
-  out.wall_ms = wall_s * 1e3;
   out.wall_images_per_sec =
       wall_s > 0.0 ? static_cast<double>(out.completed) / wall_s : 0.0;
   return out;

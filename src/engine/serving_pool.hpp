@@ -5,31 +5,24 @@
 // serving replicates that device. A pool is a fleet of N identical replicas,
 // all fed from a single admission queue:
 //
-//     clients --> [ bounded admission queue | policy ] --> replica 0
-//                      (EDF within priority class)    --> replica 1
-//                                                     --> ...
+//     clients --> [ bounded admission queue | on_full ] --> replica 0
+//                      (EDF within priority class)     --> replica 1
+//                                                      --> ...
 //
 // Every replica is one Engine (make_engine), run by its own dispatcher
-// thread — N replicas are N threads. The dispatcher pulls work from the
-// queue per the admission policy and hands it to the engine's batched entry:
-//   * kFifo   — dispatch requests one at a time; a full queue blocks the
-//     producer (backpressure by blocking).
-//   * kBatch  — accumulate up to max_batch requests before dispatching, but
-//     never hold the oldest request past its max-wait deadline: a deadline
-//     that expires with a single pending item dispatches that item alone.
-//     A full queue blocks the producer. Under overload (queue occupancy at
-//     or above overload_shrink_occupancy) the accumulation window shrinks
-//     to zero — dispatch whatever is pending rather than waiting for
-//     company the queue already has.
-//   * kReject — FIFO dispatch, but a full queue sheds new work immediately
-//     (a ready future with RequestStatus::kRejected) instead of blocking —
-//     the load-shedding policy for latency-sensitive front ends.
+// thread — N replicas are N threads. A free dispatcher follows one rule: it
+// takes the best eligible request, then up to max_batch - 1 more, holding
+// the oldest no longer than max_wait_ms past its admission (a hold that
+// expires with one request pending dispatches it alone), and hands the lot
+// to the engine's batched entry. max_batch 1 dispatches one request at a
+// time. A full queue blocks the producer (OnFull::kBlock) or sheds the new
+// request at once with RequestStatus::kRejected (OnFull::kReject).
 //
 // Request lifecycle (every submitted request resolves with exactly one
 // typed RequestStatus — there are no invalid futures and no hangs):
 //
-//   submit ──> rejected (malformed codes / queue full under kReject /
-//     │                 bulk evicted / closed)
+//   submit ──> rejected (malformed codes / queue full under
+//     │                 OnFull::kReject / bulk evicted / closed)
 //     │
 //     ▼              deadline passed before dispatch
 //   queued ─────────────────────────────────────────> deadline-exceeded
@@ -62,7 +55,7 @@
 //
 // Inference is pure — a retried request recomputes exactly the same logits
 // — so retry-elsewhere is always safe. Results delivered with status kOk
-// are bit-identical to monolithic execution for every policy
+// are bit-identical to monolithic execution for every configuration
 // (tests/test_serving.cpp, tests/test_faults.cpp cross-check logits, the
 // latter under seeded fault plans).
 //
@@ -92,17 +85,11 @@
 
 namespace rsnn::engine {
 
-enum class AdmissionPolicy { kFifo, kBatch, kReject };
-
-/// Canonical policy name: "fifo" / "batch" / "reject".
-const char* policy_name(AdmissionPolicy policy);
-
-/// Parse a policy name; throws ContractViolation on unknown names.
-AdmissionPolicy parse_policy(const std::string& name);
-
-/// Friendly one-line diagnostic for a policy name the CLI cannot parse;
-/// empty when `name` is valid.
-std::string policy_parse_error(const std::string& name);
+/// What a blocking submit() does when the admission queue is full.
+enum class OnFull {
+  kBlock,   ///< wait for room (backpressure)
+  kReject,  ///< shed the request at once with kRejected
+};
 
 /// Typed outcome of one serving request — every future resolves with
 /// exactly one of these.
@@ -128,9 +115,10 @@ const char* priority_name(PriorityClass priority);
 
 /// How a request behaves at the admission queue.
 enum class AdmissionMode {
-  /// Block while the queue is full (under the blocking policies); a full
-  /// queue holding undispatched bulk work may evict its newest bulk request
-  /// to admit latency-class work. The submit() default.
+  /// Block while the queue is full (under OnFull::kBlock; kReject sheds
+  /// instead); a full queue holding undispatched bulk work may first evict
+  /// its newest bulk request to admit latency-class work. The submit()
+  /// default.
   kBlocking,
   /// Never block and never evict: a full queue (or a closed pool) resolves
   /// the request immediately with kRejected — the polite probe.
@@ -188,7 +176,7 @@ struct ServingResult {
   std::int64_t dispatch_seq = -1;
 };
 
-/// Replica health, as driven by the supervision thresholds.
+/// Replica health, as driven by dispatch failures and stalls.
 enum class ReplicaHealth { kHealthy, kDegraded, kQuarantined };
 
 /// Canonical health name: "healthy" / "degraded" / "quarantined".
@@ -202,21 +190,18 @@ struct ServingPoolOptions {
   /// dispatcher thread each.
   int replicas = 1;
 
-  /// Admission-queue capacity in requests. Must be >= 1 for the blocking
-  /// policies; 0 is legal only with kReject (every request is shed — the
-  /// drain-for-maintenance configuration). Retried requests re-enter the
+  /// Admission-queue capacity in requests. Must be >= 1 under
+  /// OnFull::kBlock; 0 is legal only with kReject (every request is shed —
+  /// the drain-for-maintenance configuration). Retried requests re-enter the
   /// queue without counting against the capacity (they were admitted once).
   std::size_t queue_capacity = 64;
-  AdmissionPolicy policy = AdmissionPolicy::kFifo;
-  /// kBatch: dispatch as soon as this many requests accumulated (>= 1).
-  std::size_t max_batch = 8;
-  /// kBatch: never hold the oldest pending request longer than this (at
-  /// most kMaxDeadlineMs).
+  OnFull on_full = OnFull::kBlock;
+  /// Most requests one dispatch takes (>= 1); 1 dispatches one at a time.
+  std::size_t max_batch = 1;
+  /// The hold for company: a dispatch holding fewer than max_batch requests
+  /// waits for more until its oldest request is this old (at most
+  /// kMaxDeadlineMs; 0 takes only what is already queued).
   double max_wait_ms = 1.0;
-  /// kBatch: at or above this queue occupancy (fraction of capacity) the
-  /// accumulation window shrinks to zero — graceful degradation under
-  /// sustained overload.
-  double overload_shrink_occupancy = 0.5;
 
   // --- fault tolerance ---
   /// Failed dispatch attempts are retried (preferentially on a different
@@ -229,13 +214,10 @@ struct ServingPoolOptions {
   double backoff_cap_ms = 10.0;
   /// A dispatch whose wall duration exceeds this counts as a stall for the
   /// replica's health (its results are still delivered). 0 disables stall
-  /// detection.
+  /// detection. A replica degrades after one failed dispatch or one stall,
+  /// and quarantines after 3 consecutive failed dispatches or 2 stalls (not
+  /// necessarily consecutive).
   double stall_timeout_ms = 0.0;
-  /// Consecutive dispatch failures before a replica degrades / quarantines.
-  int degrade_after_failures = 1;
-  int quarantine_after_failures = 3;
-  /// Stall detections (not necessarily consecutive) before quarantine.
-  int quarantine_after_stalls = 2;
   /// Rebuild quarantined replicas' engines via make_engine (reviving the
   /// fault injector's dead flag) instead of retiring them.
   bool rebuild_quarantined = false;
@@ -272,10 +254,9 @@ struct ServingStats {
   std::int64_t stalls = 0;      ///< dispatches exceeding stall_timeout_ms
   std::int64_t rebuilds = 0;    ///< quarantined replicas rebuilt
   std::int64_t shed_bulk = 0;   ///< bulk requests evicted for latency work
-  std::int64_t window_shrinks = 0;  ///< batch windows zeroed by overload
   ClassStats per_class[kNumPriorityClasses];  ///< by PriorityClass
-  double wall_ms = 0.0;         ///< first admission to last completion
-  double wall_images_per_sec = 0.0;    ///< simulator wall-clock throughput
+  /// Completed requests per second, first admission to last completion.
+  double wall_images_per_sec = 0.0;
   double p50_latency_ms = 0.0;  ///< wall-clock, queueing + service, kOk only
   double p99_latency_ms = 0.0;
   std::vector<std::int64_t> per_replica;  ///< images served by each replica
@@ -299,11 +280,11 @@ class ServingPool {
   /// rsnn_serve wire protocol (via serve::ModelRegistry) both funnel through
   /// here. Always returns a valid future resolving with exactly one typed
   /// RequestStatus: a mismatched model_id, malformed codes (see
-  /// Request::codes), a closed pool, or a full queue under kNonBlocking /
-  /// kReject resolve immediately with kRejected and 0 attempts. Under
-  /// kBlocking a full queue blocks (kFifo/kBatch) and may evict the newest
-  /// undispatched bulk request to admit latency-class work (degradation
-  /// order: bulk first). `admitted`, when given, reports whether the
+  /// Request::codes), a closed pool, or a full queue under kNonBlocking or
+  /// OnFull::kReject resolve immediately with kRejected and 0 attempts.
+  /// Under kBlocking a full queue may evict the newest undispatched bulk
+  /// request to admit latency-class work (degradation order: bulk first),
+  /// and otherwise blocks under OnFull::kBlock. `admitted`, when given, reports whether the
   /// request entered the queue (false = the returned future is already
   /// resolved). A request that is not admitted is left intact, so a router
   /// can offer it to another pool.
@@ -349,7 +330,7 @@ class ServingPool {
   };
 
   void replica_main(std::size_t replica_index);
-  /// Pop the next dispatch per the admission policy (EDF within class,
+  /// Pop the next dispatch of up to max_batch requests (EDF within class,
   /// latency class first, honoring backoff gates and retry-elsewhere);
   /// fails expired requests fast. Empty once the pool is closed and
   /// drained.

@@ -57,15 +57,6 @@ struct TimingParams {
   int writeback_cycles_per_row = 1;
 };
 
-/// Configuration of the simulator's code-domain fast path (SimMode
-/// kCycleAccurate). Purely a host-simulation concern: it never changes
-/// logits, cycles, adder ops or traffic — the equivalence suite runs both
-/// settings against the stepped dataflow. A fast-path run always executes
-/// on its caller's thread.
-struct FastPathOptions {
-  bool fuse_conv_pool = true;  ///< run conv+pool pairs as one fused pass
-};
-
 /// Weight storage placement for a layer (paper Sec. III-C).
 enum class WeightPlacement {
   kOnChip,  ///< block RAM, single-cycle access at full width
@@ -103,7 +94,6 @@ struct AcceleratorConfig {
   LinearUnitGeometry linear;
   TimingParams timing;
   MemoryConfig memory;
-  FastPathOptions fast_path;
 
   double cycle_ns() const { return 1000.0 / clock_mhz; }
 };

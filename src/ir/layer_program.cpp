@@ -168,21 +168,18 @@ LayerProgram lower(const quant::QuantizedNetwork& qnet,
 
 namespace {
 
-/// Annotate the fast-path execution plan: conv+pool fusion for adjacent
-/// pairs. The plan only directs *how* the fast path iterates; the
+/// Annotate the fast-path execution plan: a requantizing conv followed by a
+/// pool runs as one fused pass (the pool consumes the conv codes before they
+/// round-trip through a buffer; the executor still emits both ops' stats
+/// records). The plan only directs *how* the fast path iterates; the
 /// accounting always comes from the latency annotations and the exact
-/// activity rules, so fused and unfused runs are bit-identical.
-void plan_fast_path(std::vector<LayerOp>& ops,
-                    const hw::FastPathOptions& options) {
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    LayerOp& op = ops[i];
-    if (op.kind != OpKind::kConv) continue;
-    // A requantizing conv followed by a pool runs as one fused pass (the
-    // pool consumes the conv codes before they round-trip through a
-    // buffer). The executor still emits both ops' stats records.
-    op.fuse_with_next = options.fuse_conv_pool && op.requantize &&
-                        i + 1 < ops.size() && ops[i + 1].kind == OpKind::kPool;
-  }
+/// activity rules, so a fused pair is bit-identical to the unfused ops a
+/// segment cut between them runs.
+void plan_fast_path(std::vector<LayerOp>& ops) {
+  for (std::size_t i = 0; i + 1 < ops.size(); ++i)
+    ops[i].fuse_with_next = ops[i].kind == OpKind::kConv &&
+                            ops[i].requantize &&
+                            ops[i + 1].kind == OpKind::kPool;
 }
 
 }  // namespace
@@ -230,7 +227,7 @@ LayerProgram lower(const quant::QuantizedNetwork& qnet, std::size_t begin,
   }
   program.buffer_plan_.buffer2d_bits_each = std::max<std::int64_t>(max2d, 1);
   program.buffer_plan_.buffer1d_bits_each = std::max<std::int64_t>(max1d, 1);
-  plan_fast_path(program.ops_, config.fast_path);
+  plan_fast_path(program.ops_);
   return program;
 }
 

@@ -74,8 +74,7 @@ struct LayerOp {
   hw::LayerLatency latency;      ///< predicted cycles, phasing, traffic
 
   // Fast-path execution plan (simulator-only; never changes what is
-  // counted). Chosen by the lowering pass from the config's
-  // hw::FastPathOptions:
+  // counted), set by the lowering pass:
   bool fuse_with_next = false;   ///< conv op fused with the following pool
 
   const char* name() const { return op_kind_name(kind); }

@@ -156,13 +156,14 @@ QuantizedNetwork load_quantized(const std::string& path) {
   qnet.time_bits = read_i32(is);
   qnet.weight_bits = read_i32(is);
   // The fast path's 32-bit SIMD multiply relies on a T-bit code times an
-  // int8 weight fitting in int32.
+  // int8 weight fitting in int32. The bounds are quantize's (weight_bits 1
+  // holds no nonzero signed weight).
   RSNN_REQUIRE(qnet.time_bits >= 1 && qnet.time_bits <= 16,
                "corrupt header: time_bits " << qnet.time_bits
                                             << " outside 1..16 in " << path);
-  RSNN_REQUIRE(qnet.weight_bits >= 1 && qnet.weight_bits <= 8,
+  RSNN_REQUIRE(qnet.weight_bits >= 2 && qnet.weight_bits <= 8,
                "corrupt header: weight_bits " << qnet.weight_bits
-                                              << " outside 1..8 in " << path);
+                                              << " outside 2..8 in " << path);
   qnet.input_shape = read_shape(is);
   const std::uint32_t layer_count = read_u32(is);
   RSNN_REQUIRE(layer_count <= 4096, "implausible layer count");

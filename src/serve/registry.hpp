@@ -43,10 +43,10 @@
 namespace rsnn::serve {
 
 struct RegistryOptions {
-  /// Design derivation for every loaded model (units, clock, fast path).
+  /// Design derivation for every loaded model (units, clock, memory).
   compiler::CompileOptions compile;
   engine::EngineKind kind = engine::EngineKind::kCycleAccurate;
-  /// Pool template applied to every model (replicas, policy, queue, fault
+  /// Pool template applied to every model (replicas, batching, queue, fault
   /// tolerance). model_id is overwritten per slot.
   engine::ServingPoolOptions pool;
 };

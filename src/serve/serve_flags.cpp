@@ -16,14 +16,16 @@ std::vector<FlagSpec> serving_pool_flags() {
   return {
       count_flag("replicas", "1",
                  "identical replicas behind the admission queue", 1),
-      text_flag("policy", "fifo", "admission policy: fifo|batch|reject",
+      text_flag("policy", "fifo",
+                "fifo (one request per dispatch), batch (up to --max-batch) "
+                "or reject (as fifo, but a full queue sheds)",
                 "NAME"),
       count_flag("queue-depth", "64",
                  "bounded admission-queue capacity in requests"),
       count_flag("max-batch", "8",
-                 "batch policy: dispatch once this many accumulate", 1),
+                 "batch: most requests one dispatch takes", 1),
       number_flag("max-wait-ms", "1",
-                  "batch policy: never hold the oldest request longer", 0.0,
+                  "batch: never hold the oldest request longer", 0.0,
                   engine::kMaxDeadlineMs, "MS"),
       count_flag("max-retries", "2",
                  "failed-dispatch retry budget per request (0 = off)"),
@@ -51,15 +53,21 @@ std::vector<FlagSpec> serving_request_flags() {
 
 std::string pool_options_from_flags(const flags::FlagSet& flag_set,
                                     engine::ServingPoolOptions* options) {
-  const std::string policy_error =
-      engine::policy_parse_error(flag_set.text("policy"));
-  if (!policy_error.empty()) return policy_error;
-  options->policy = engine::parse_policy(flag_set.text("policy"));
+  // The three policy names are aliases for a dispatch size and an on-full
+  // choice: only "batch" takes more than one request per dispatch.
+  const std::string& policy = flag_set.text("policy");
+  if (policy != "fifo" && policy != "batch" && policy != "reject")
+    return "unknown admission policy '" + policy +
+           "' (expected fifo, batch or reject)";
+  options->on_full =
+      policy == "reject" ? engine::OnFull::kReject : engine::OnFull::kBlock;
+  options->max_batch =
+      policy == "batch" ? static_cast<std::size_t>(flag_set.count("max-batch"))
+                        : 1;
+  options->max_wait_ms = flag_set.number("max-wait-ms");
   options->replicas = static_cast<int>(flag_set.count("replicas"));
   options->queue_capacity =
       static_cast<std::size_t>(flag_set.count("queue-depth"));
-  options->max_batch = static_cast<std::size_t>(flag_set.count("max-batch"));
-  options->max_wait_ms = flag_set.number("max-wait-ms");
   options->max_retries = static_cast<int>(flag_set.count("max-retries"));
   options->backoff_base_ms = flag_set.number("backoff-ms");
   options->backoff_cap_ms =

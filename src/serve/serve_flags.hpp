@@ -1,5 +1,5 @@
 // The shared serving flag tables: the single declaration of every serving
-// knob (admission policy, queue, batching, fault tolerance) and of the
+// knob (dispatch policy, queue, batching, fault tolerance) and of the
 // per-request options. The `rsnn_serve` daemon (and bench/e2e's in-process
 // replay) parses the pool table and `rsnn_client infer` the request table,
 // so the generated usage text cannot drift from the parser.
@@ -23,9 +23,12 @@ std::vector<flags::FlagSpec> serving_pool_flags();
 std::vector<flags::FlagSpec> serving_request_flags();
 
 /// Build pool options from a parsed FlagSet containing serving_pool_flags().
-/// Validates the text-typed domains (policy name, fault plan) and returns a
-/// friendly diagnostic, empty on success. Fields without a flag (model_id,
-/// the health thresholds) keep `options`' incoming values.
+/// --policy is an alias: fifo is max_batch 1 with a blocking full queue,
+/// batch is --max-batch with a blocking full queue, and reject is max_batch
+/// 1 with a rejecting full queue. Validates the text-typed domains (policy
+/// name, fault plan) and returns a friendly diagnostic, empty on success.
+/// Fields without a flag (model_id, backoff_cap_ms) keep `options`'
+/// incoming values; the cap is raised to the backoff base when below it.
 std::string pool_options_from_flags(const flags::FlagSet& flag_set,
                                     engine::ServingPoolOptions* options);
 

@@ -6,7 +6,7 @@
 // wanting pipelined inferences opens several connections); concurrency
 // comes from the per-model ServingPools behind the registry, exactly as for
 // in-process callers. Infer blocks its connection thread on the typed
-// future — admission policy, deadlines and retries all apply unchanged,
+// future — admission, batching, deadlines and retries all apply unchanged,
 // because the wire path funnels into the same ServingPool::submit(Request)
 // core.
 //

@@ -179,8 +179,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(PackedEquivalence, ServingReplicasMatchSequentialRuns) {
   // Two cycle_accurate serving replicas (pre-allocated engine state, reused
   // across dispatches) must be bit-identical to one-shot execution, and a
-  // second round through the same warm pool must agree with the first. The
-  // batch policy groups the burst, so each multi-request dispatch is one
+  // second round through the same warm pool must agree with the first.
+  // max_batch 8 groups the burst, so each multi-request dispatch is one
   // batched engine call into the replica's reused results array.
   Rng rng(11);
   nn::Network net = rsnn::testing::small_random_net(rng);
@@ -201,7 +201,6 @@ TEST(PackedEquivalence, ServingReplicasMatchSequentialRuns) {
 
   engine::ServingPoolOptions options;
   options.replicas = 2;
-  options.policy = engine::AdmissionPolicy::kBatch;
   options.max_batch = 8;
   options.max_wait_ms = 50.0;  // long: dispatches should fill, not time out
   engine::ServingPool pool(program, engine::EngineKind::kCycleAccurate,

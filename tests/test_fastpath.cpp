@@ -1,8 +1,8 @@
 // The simulator fast path (hw/fast_path) against the golden stepped
 // dataflow. The accounting contract is non-negotiable: logits, cycles,
 // adder ops and memory traffic must be bit-identical to SimMode::kStepped
-// for every fusion x geometry combination — the fast path changes how the
-// simulator iterates, never what it counts.
+// for every geometry, fused conv+pool pairs included — the fast path changes
+// how the simulator iterates, never what it counts.
 //
 // Also covered here: the Arena bump allocator, the zero-allocation warm
 // batched property, and segment-scoped fast-path execution (a fused
@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "common/alloc_hook.hpp"
@@ -41,16 +40,6 @@ namespace {
 
 using rsnn::testing::expect_bit_identical;
 using rsnn::testing::random_image;
-
-struct PlanVariant {
-  bool fuse;
-  const char* label;
-};
-
-constexpr PlanVariant kPlanVariants[] = {
-    {true, "fused"},
-    {false, "unfused"},
-};
 
 // ------------------------------------------------------------------ Arena
 
@@ -90,9 +79,9 @@ TEST(Arena, BlocksAreMaxAligned) {
   }
 }
 
-// -------------------------------------------- fusion sweep, LeNet T=4
+// ------------------------------------------------------------ LeNet T=4
 
-TEST(FastPath, LeNetAllPlanVariantsBitIdenticalToStepped) {
+TEST(FastPath, LeNetBitIdenticalToStepped) {
   Rng rng(711);
   nn::Network lenet = nn::make_lenet5();
   lenet.init_params(rng);
@@ -101,20 +90,11 @@ TEST(FastPath, LeNetAllPlanVariantsBitIdenticalToStepped) {
   const TensorI codes = quant::encode_activations(
       random_image(qnet.input_shape, rng), qnet.time_bits);
 
-  // The stepped golden run (fast-path options do not affect kStepped).
-  const Accelerator golden_accel(lenet_reference_config(), qnet);
-  const AccelRunResult golden =
-      golden_accel.run_codes(codes, SimMode::kStepped);
+  const Accelerator accel(lenet_reference_config(), qnet);
+  const AccelRunResult golden = accel.run_codes(codes, SimMode::kStepped);
   ASSERT_FALSE(golden.logits.empty());
-
-  for (const PlanVariant& variant : kPlanVariants) {
-    SCOPED_TRACE(variant.label);
-    AcceleratorConfig cfg = lenet_reference_config();
-    cfg.fast_path.fuse_conv_pool = variant.fuse;
-    const Accelerator accel(cfg, qnet);
-    expect_bit_identical(accel.run_codes(codes, SimMode::kCycleAccurate),
-                         golden);
-  }
+  expect_bit_identical(accel.run_codes(codes, SimMode::kCycleAccurate),
+                       golden);
 }
 
 // --------------------------------- geometry sweep: stride, padding, tiling
@@ -144,22 +124,14 @@ TEST(FastPath, StridePaddingTilingGeometriesMatchStepped) {
     cfg.conv = ConvUnitGeometry{4, 5, 24};
     cfg.linear = LinearUnitGeometry{8, 24};
     const Accelerator accel(cfg, qnet);
-    const AccelRunResult golden = accel.run_codes(codes, SimMode::kStepped);
-
-    for (const PlanVariant& variant : kPlanVariants) {
-      SCOPED_TRACE(variant.label);
-      AcceleratorConfig fast_cfg = cfg;
-      fast_cfg.fast_path.fuse_conv_pool = variant.fuse;
-      const Accelerator fast_accel(fast_cfg, qnet);
-      expect_bit_identical(
-          fast_accel.run_codes(codes, SimMode::kCycleAccurate), golden);
-    }
+    expect_bit_identical(accel.run_codes(codes, SimMode::kCycleAccurate),
+                         accel.run_codes(codes, SimMode::kStepped));
   }
 }
 
 // ----------------------------------------------- VGG-11 (DRAM streaming)
 
-TEST(FastPath, Vgg11FusedAndUnfusedBitIdenticalToStepped) {
+TEST(FastPath, Vgg11BitIdenticalToStepped) {
   Rng rng(37);
   nn::Network vgg = nn::make_vgg11();
   vgg.init_params(rng);
@@ -168,19 +140,10 @@ TEST(FastPath, Vgg11FusedAndUnfusedBitIdenticalToStepped) {
   const TensorI codes = quant::encode_activations(
       random_image(qnet.input_shape, rng), qnet.time_bits);
 
-  const Accelerator golden_accel(vgg11_table3_config(), qnet);
-  ASSERT_TRUE(golden_accel.uses_dram());
-  const AccelRunResult golden =
-      golden_accel.run_codes(codes, SimMode::kStepped);
-
-  for (const PlanVariant& variant : kPlanVariants) {
-    SCOPED_TRACE(variant.label);
-    AcceleratorConfig cfg = vgg11_table3_config();
-    cfg.fast_path.fuse_conv_pool = variant.fuse;
-    const Accelerator accel(cfg, qnet);
-    expect_bit_identical(accel.run_codes(codes, SimMode::kCycleAccurate),
-                         golden);
-  }
+  const Accelerator accel(vgg11_table3_config(), qnet);
+  ASSERT_TRUE(accel.uses_dram());
+  expect_bit_identical(accel.run_codes(codes, SimMode::kCycleAccurate),
+                       accel.run_codes(codes, SimMode::kStepped));
 }
 
 // ------------------------------------- segment cut through a fused pair
@@ -418,15 +381,10 @@ TEST(FastPath, SimdAndScalarDispatchBitIdentical) {
   const TensorI codes = quant::encode_activations(
       random_image(qnet.input_shape, rng), qnet.time_bits);
 
-  for (const PlanVariant& variant : kPlanVariants) {
-    SCOPED_TRACE(variant.label);
-    AcceleratorConfig cfg = lenet_reference_config();
-    cfg.fast_path.fuse_conv_pool = variant.fuse;
-    const Accelerator accel(cfg, qnet);
-    const AccelRunResult vec = accel.run_codes(codes, SimMode::kCycleAccurate);
-    common::simd::ScopedForceScalar force(true);
-    expect_bit_identical(accel.run_codes(codes, SimMode::kCycleAccurate), vec);
-  }
+  const Accelerator accel(lenet_reference_config(), qnet);
+  const AccelRunResult vec = accel.run_codes(codes, SimMode::kCycleAccurate);
+  common::simd::ScopedForceScalar force(true);
+  expect_bit_identical(accel.run_codes(codes, SimMode::kCycleAccurate), vec);
 }
 
 // --------------------------------------------------- batched fast path
@@ -465,7 +423,7 @@ void expect_batched_matches_sequential(
   }
 }
 
-TEST(FastPathBatched, LeNetAllPlanVariantsMatchSequential) {
+TEST(FastPathBatched, LeNetMatchesSequential) {
   Rng rng(812);
   nn::Network lenet = nn::make_lenet5();
   lenet.init_params(rng);
@@ -473,14 +431,9 @@ TEST(FastPathBatched, LeNetAllPlanVariantsMatchSequential) {
       quant::quantize(lenet, quant::QuantizeConfig{3, 4});
   const std::vector<TensorI> codes = random_code_batch(qnet, 8, rng);
 
-  for (const PlanVariant& variant : kPlanVariants) {
-    SCOPED_TRACE(variant.label);
-    AcceleratorConfig cfg = lenet_reference_config();
-    cfg.fast_path.fuse_conv_pool = variant.fuse;
-    const Accelerator accel(cfg, qnet);
-    expect_batched_matches_sequential(accel, codes, {1, 3, 8},
-                                      SimMode::kCycleAccurate);
-  }
+  const Accelerator accel(lenet_reference_config(), qnet);
+  expect_batched_matches_sequential(accel, codes, {1, 3, 8},
+                                    SimMode::kCycleAccurate);
 }
 
 TEST(FastPathBatched, Vgg11MatchesSequential) {

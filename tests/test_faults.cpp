@@ -227,7 +227,6 @@ TEST(ServingPool, TransientFaultInABatchRetriesOnlyItsOwnRequest) {
       monolithic_reference(fx.program, EngineKind::kCycleAccurate, batch);
 
   ServingPoolOptions options;
-  options.policy = AdmissionPolicy::kBatch;
   options.max_batch = 4;
   options.max_wait_ms = 50.0;
   options.fault_plan = plan_of("err:r0@3");
@@ -257,8 +256,8 @@ TEST(ServingPool, TransientFaultInABatchRetriesOnlyItsOwnRequest) {
 TEST(ServingPool, RetryStormIsBoundedByBackoffCap) {
   // Every attempt fails (err:p1.0): each request must consume exactly
   // max_retries + 1 attempts and resolve kReplicaFailed — no unbounded
-  // retry storm, no hang. Health penalties are disabled (huge thresholds)
-  // to isolate the retry bound.
+  // retry storm, no hang. Quarantined replicas are rebuilt, so the fleet
+  // never empties and only the retry bound ends a request.
   const LeNetFixture fx;
   const auto batch = lenet_batch(3, fx.qnet.time_bits);
 
@@ -267,7 +266,7 @@ TEST(ServingPool, RetryStormIsBoundedByBackoffCap) {
   options.max_retries = 2;
   options.backoff_base_ms = 0.05;
   options.backoff_cap_ms = 0.2;
-  options.quarantine_after_failures = 1000;
+  options.rebuild_quarantined = true;
   options.fault_plan = plan_of("err:p1.0");
   ServingPool pool(fx.program, EngineKind::kReference, options);
 
@@ -324,7 +323,6 @@ TEST(ServingPool, DyingReplicaHandsInFlightBatchToSurvivor) {
 
   ServingPoolOptions options;
   options.replicas = 2;
-  options.policy = AdmissionPolicy::kBatch;
   options.max_batch = 4;
   options.max_wait_ms = 20.0;
   options.fault_plan = plan_of("kill:r0@1");
@@ -386,7 +384,6 @@ TEST(ServingPool, StallDetectionDegradesAndQuarantines) {
 
   ServingPoolOptions options;
   options.stall_timeout_ms = 250.0;
-  options.quarantine_after_stalls = 2;
   {
     // One stall degrades the replica; it keeps serving the rest.
     options.fault_plan = plan_of("stall:r0@1x500");
@@ -421,6 +418,54 @@ TEST(ServingPool, StallDetectionDegradesAndQuarantines) {
     EXPECT_EQ(stats.rebuilds, 1);
     EXPECT_EQ(stats.replica_health[0], ReplicaHealth::kHealthy);
     EXPECT_EQ(stats.active_replicas, 1);
+  }
+}
+
+// ------------------------------------------------------- dispatch rule
+
+TEST(ServingPool, DispatchTakesUpToMaxBatchWithoutHolding) {
+  // One replica held by a 100ms stall on its first dispatch while six more
+  // requests queue behind it; the dispatch rule alone then groups them.
+  // max_batch 1 takes them one at a time (seven dispatches), and max_batch
+  // 4 with no hold takes four and then two (three dispatches).
+  const TinyFixture fx;
+  const auto batch = tiny_batch(7, fx.qnet.time_bits);
+  const auto reference =
+      monolithic_reference(fx.program, EngineKind::kReference, batch);
+
+  for (const std::size_t max_batch : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("max_batch " + std::to_string(max_batch));
+    ServingPoolOptions options;
+    options.max_batch = max_batch;
+    if (max_batch > 1) options.max_wait_ms = 0.0;
+    options.fault_plan = plan_of("stall:r0@1x100");
+    ServingPool pool(fx.program, EngineKind::kReference, options);
+
+    std::vector<std::future<ServingResult>> tickets;
+    tickets.push_back(pool.submit(request_for(batch[0])));
+    // Queue the rest only once the stalled dispatch holds the first request,
+    // so that dispatch cannot take any of them.
+    while (pool.stats().dispatches < 1) std::this_thread::yield();
+    for (std::size_t i = 1; i < batch.size(); ++i)
+      tickets.push_back(pool.submit(request_for(batch[i])));
+
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const ServingResult result = tickets[i].get();
+      ASSERT_EQ(result.status, RequestStatus::kOk)
+          << "image " << i << ": " << result.error;
+      EXPECT_EQ(result.result.logits, reference[i].logits) << "image " << i;
+      EXPECT_EQ(result.attempts, 1) << "image " << i;
+      // FIFO among deadline-less requests: dispatch 0 is the stalled one,
+      // then each dispatch takes the next max_batch in admission order.
+      const std::int64_t expected_seq =
+          i == 0 ? 0
+                 : 1 + static_cast<std::int64_t>((i - 1) / max_batch);
+      EXPECT_EQ(result.dispatch_seq, expected_seq) << "image " << i;
+    }
+    const ServingStats stats = pool.stats();
+    EXPECT_EQ(stats.completed, 7);
+    EXPECT_EQ(stats.dispatches, max_batch == 1 ? 7 : 3);
+    EXPECT_DOUBLE_EQ(stats.mean_batch, max_batch == 1 ? 1.0 : 7.0 / 3.0);
   }
 }
 

@@ -120,7 +120,6 @@ hw::AcceleratorConfig random_config(Rng& rng) {
   cfg.conv = hw::ConvUnitGeometry{rng.next_int(4, 20), 7, 24};
   cfg.pool = hw::PoolUnitGeometry{8, 2, 16};
   cfg.linear = hw::LinearUnitGeometry{1 << rng.next_int(1, 4), 24};
-  cfg.fast_path.fuse_conv_pool = rng.next_bool(0.7);
   return cfg;
 }
 
@@ -153,7 +152,6 @@ TEST_P(ArchitectureSweep, AllInvariantsHold) {
   const hw::AcceleratorConfig cfg = random_config(rng);
   SCOPED_TRACE("seed=" + std::to_string(seed) + " T=" + std::to_string(T) +
                " wb=" + std::to_string(wb) +
-               " fuse=" + std::to_string(cfg.fast_path.fuse_conv_pool) +
                " X=" + std::to_string(cfg.conv.array_columns) + " " + config);
 
   const hw::Accelerator accel(cfg, qnet);

@@ -101,8 +101,8 @@ TEST(QSerialize, RejectsHeaderBitWidthsOutsideQuantizerBounds) {
   const struct {
     std::int32_t T, weight_bits;
     bool ok;
-  } cases[] = {{17, 3, false}, {0, 3, false}, {30, 3, false},
-               {4, 9, false},  {4, 0, false}, {16, 8, true}};
+  } cases[] = {{17, 3, false}, {0, 3, false}, {30, 3, false}, {4, 9, false},
+               {4, 0, false},  {4, 1, false}, {16, 8, true}};
   for (const auto& c : cases) {
     SCOPED_TRACE("T=" + std::to_string(c.T) +
                  " weight_bits=" + std::to_string(c.weight_bits));
@@ -125,6 +125,7 @@ TEST(QSerialize, RejectsHeaderBitWidthsOutsideQuantizerBounds) {
 
   EXPECT_THROW(quantize(net, QuantizeConfig{9, 4}), ContractViolation);
   EXPECT_THROW(quantize(net, QuantizeConfig{0, 4}), ContractViolation);
+  EXPECT_THROW(quantize(net, QuantizeConfig{1, 4}), ContractViolation);
   EXPECT_THROW(quantize(net, QuantizeConfig{3, 17}), ContractViolation);
 }
 

@@ -762,6 +762,48 @@ TEST(ServeEndToEnd, ConcurrentClientsShareTheFleet) {
   EXPECT_EQ(snapshot[0].stats.completed, kClients * kPerClient);
 }
 
+TEST(ServeFlags, PolicyNamesAliasADispatchSizeAndAFullQueueChoice) {
+  // fifo and reject dispatch one request at a time whatever --max-batch
+  // says; only batch takes --max-batch. Only reject sheds on a full queue.
+  struct Case {
+    std::vector<std::string> tokens;
+    std::size_t max_batch;
+    engine::OnFull on_full;
+    double max_wait_ms;
+    std::size_t queue_capacity;
+  };
+  const std::vector<Case> cases = {
+      {{}, 1, engine::OnFull::kBlock, 1.0, 64},
+      {{"--policy", "fifo", "--max-batch", "8"}, 1, engine::OnFull::kBlock,
+       1.0, 64},
+      {{"--policy", "batch", "--max-batch", "4", "--max-wait-ms", "0.5",
+        "--queue-depth", "16"},
+       4, engine::OnFull::kBlock, 0.5, 16},
+      {{"--policy", "batch"}, 8, engine::OnFull::kBlock, 1.0, 64},
+      {{"--policy", "reject", "--max-batch", "8", "--queue-depth", "0"}, 1,
+       engine::OnFull::kReject, 1.0, 0},
+  };
+  for (const Case& c : cases) {
+    std::string label;
+    for (const std::string& token : c.tokens) label += token + " ";
+    SCOPED_TRACE(label);
+    flags::FlagSet flag_set(serving_pool_flags());
+    ASSERT_EQ(flag_set.parse(c.tokens), "");
+    engine::ServingPoolOptions options;
+    ASSERT_EQ(pool_options_from_flags(flag_set, &options), "");
+    EXPECT_EQ(options.max_batch, c.max_batch);
+    EXPECT_EQ(options.on_full, c.on_full);
+    EXPECT_DOUBLE_EQ(options.max_wait_ms, c.max_wait_ms);
+    EXPECT_EQ(options.queue_capacity, c.queue_capacity);
+  }
+
+  flags::FlagSet unknown(serving_pool_flags());
+  ASSERT_EQ(unknown.parse({"--policy", "lifo"}), "");
+  engine::ServingPoolOptions options;
+  EXPECT_EQ(pool_options_from_flags(unknown, &options),
+            "unknown admission policy 'lifo' (expected fifo, batch or reject)");
+}
+
 TEST(ServeFlags, PoolDurationsAreBoundedByTheDeadlineCap) {
   // The batch window and the retry backoff become steady_clock durations;
   // beyond kMaxDeadlineMs that conversion would overflow.

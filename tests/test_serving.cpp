@@ -1,9 +1,9 @@
-// Replicated serving: every pool configuration (replica count x admission
-// policy) must produce logits bit-identical to monolithic execution, a
-// replica must cost exactly one thread, and the admission queue must survive
-// concurrent producers and honor its edge cases (zero capacity, shutdown
-// with in-flight work, batch deadline with a single pending item, malformed
-// requests refused at admission).
+// Replicated serving: every pool configuration (replica count x dispatch
+// size x full-queue choice) must produce logits bit-identical to monolithic
+// execution, a replica must cost exactly one thread, and the admission queue
+// must survive concurrent producers and honor its edge cases (zero capacity,
+// shutdown with in-flight work, batch deadline with a single pending item,
+// malformed requests refused at admission).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -73,21 +73,6 @@ std::vector<hw::AccelRunResult> monolithic_reference(
   return results;
 }
 
-// ------------------------------------------------------ policy parsing
-
-TEST(AdmissionPolicyNames, RoundTripAndErrors) {
-  EXPECT_EQ(parse_policy("fifo"), AdmissionPolicy::kFifo);
-  EXPECT_EQ(parse_policy("batch"), AdmissionPolicy::kBatch);
-  EXPECT_EQ(parse_policy("reject"), AdmissionPolicy::kReject);
-  EXPECT_STREQ(policy_name(AdmissionPolicy::kFifo), "fifo");
-  EXPECT_STREQ(policy_name(AdmissionPolicy::kBatch), "batch");
-  EXPECT_STREQ(policy_name(AdmissionPolicy::kReject), "reject");
-  EXPECT_TRUE(policy_parse_error("batch").empty());
-  EXPECT_FALSE(policy_parse_error("lifo").empty());
-  EXPECT_THROW(parse_policy("lifo"), ContractViolation);
-  EXPECT_THROW(parse_policy(""), ContractViolation);
-}
-
 // ------------------------------------ pool equivalence (acceptance)
 
 /// Every pool configuration must serve bit-identical logits: the pool adds
@@ -101,20 +86,22 @@ TEST(ServingPool, CrossChecksLogitsAcrossConfigurations) {
   struct Config {
     const char* label;
     int replicas;
-    AdmissionPolicy policy;
+    std::size_t max_batch;
+    OnFull on_full;
   };
   const std::vector<Config> configs = {
-      {"1 replica, fifo", 1, AdmissionPolicy::kFifo},
-      {"2 replicas, fifo", 2, AdmissionPolicy::kFifo},
-      {"2 replicas, batch", 2, AdmissionPolicy::kBatch},
-      {"2 replicas, reject", 2, AdmissionPolicy::kReject},
+      {"1 replica, max_batch 1, block", 1, 1, OnFull::kBlock},
+      {"2 replicas, max_batch 1, block", 2, 1, OnFull::kBlock},
+      {"2 replicas, max_batch 8, block", 2, 8, OnFull::kBlock},
+      {"2 replicas, max_batch 1, reject", 2, 1, OnFull::kReject},
   };
 
   for (const Config& config : configs) {
     SCOPED_TRACE(config.label);
     ServingPoolOptions options;
     options.replicas = config.replicas;
-    options.policy = config.policy;
+    options.max_batch = config.max_batch;
+    options.on_full = config.on_full;
     options.max_wait_ms = 0.5;
     ServingPool pool(fx.program, EngineKind::kReference, options);
     EXPECT_EQ(pool.replicas(), config.replicas);
@@ -217,7 +204,7 @@ TEST(ServingPool, ZeroCapacityQueueRejectsEverything) {
 
   ServingPoolOptions options;
   options.queue_capacity = 0;
-  options.policy = AdmissionPolicy::kReject;
+  options.on_full = OnFull::kReject;
   ServingPool pool(fx.program, EngineKind::kReference, options);
 
   for (const TensorI& codes : batch) {
@@ -244,11 +231,11 @@ TEST(ServingPool, ZeroCapacityQueueRejectsEverything) {
   EXPECT_EQ(stats.per_class[0].rejected, 4);
   EXPECT_DOUBLE_EQ(stats.per_class[0].goodput, 0.0);
 
-  // A zero-capacity queue under a blocking policy would deadlock every
+  // A zero-capacity queue that blocks when full would deadlock every
   // producer; the pool refuses to construct it.
   ServingPoolOptions blocking;
   blocking.queue_capacity = 0;
-  blocking.policy = AdmissionPolicy::kFifo;
+  blocking.on_full = OnFull::kBlock;
   EXPECT_THROW(ServingPool(fx.program, EngineKind::kReference, blocking),
                ContractViolation);
 }
@@ -261,7 +248,7 @@ TEST(ServingPool, RejectPolicyShedsUnderBurst) {
 
   ServingPoolOptions options;
   options.queue_capacity = 1;
-  options.policy = AdmissionPolicy::kReject;
+  options.on_full = OnFull::kReject;
   ServingPool pool(fx.program, EngineKind::kReference, options);
 
   std::vector<std::future<ServingResult>> tickets;
@@ -318,7 +305,6 @@ TEST(ServingPool, BatchDeadlineExpiryDispatchesASingleItem) {
   const auto batch = lenet_batch(1, fx.qnet.time_bits);
 
   ServingPoolOptions options;
-  options.policy = AdmissionPolicy::kBatch;
   options.max_batch = 8;
   options.max_wait_ms = 5.0;
   ServingPool pool(fx.program, EngineKind::kReference, options);
@@ -342,7 +328,6 @@ TEST(ServingPool, BatchPolicyAccumulatesUpToMaxBatch) {
       monolithic_reference(fx.program, EngineKind::kReference, batch);
 
   ServingPoolOptions options;
-  options.policy = AdmissionPolicy::kBatch;
   options.max_batch = 4;
   options.max_wait_ms = 50.0;  // long: dispatches should fill, not time out
   ServingPool pool(fx.program, EngineKind::kReference, options);
@@ -372,7 +357,6 @@ TEST(ServingPool, BatchRefillsFromProducersBlockedOnAFullQueue) {
   const auto batch = lenet_batch(4, fx.qnet.time_bits);
 
   ServingPoolOptions options;
-  options.policy = AdmissionPolicy::kBatch;
   options.queue_capacity = 1;
   options.max_batch = 4;
   options.max_wait_ms = 500.0;
@@ -438,8 +422,8 @@ TEST(ServingPool, MalformedRequestFailsOnlyItself) {
 }
 
 TEST(ServingPool, MalformedRequestLeavesItsBurstsBatchIntact) {
-  // Three good requests and one of the wrong shape in one burst, under the
-  // batch policy: the bad one is rejected alone, and the good ones still
+  // Three good requests and one of the wrong shape in one burst, with
+  // max_batch 4: the bad one is rejected alone, and the good ones still
   // dispatch together with monolithic logits.
   const LeNetFixture fx;
   const auto batch = lenet_batch(3, fx.qnet.time_bits);
@@ -448,7 +432,6 @@ TEST(ServingPool, MalformedRequestLeavesItsBurstsBatchIntact) {
     SCOPED_TRACE(engine_name(kind));
     const auto reference = monolithic_reference(fx.program, kind, batch);
     ServingPoolOptions options;
-    options.policy = AdmissionPolicy::kBatch;
     options.max_batch = 4;
     options.max_wait_ms = 50.0;
     ServingPool pool(fx.program, kind, options);
@@ -487,7 +470,6 @@ TEST(ServingPool, InvalidOptionsThrow) {
   }
   {
     ServingPoolOptions options;
-    options.policy = AdmissionPolicy::kBatch;
     options.max_batch = 0;
     EXPECT_THROW(ServingPool(fx.program, EngineKind::kReference, options),
                  ContractViolation);
@@ -505,19 +487,11 @@ TEST(ServingPool, InvalidOptionsThrow) {
     EXPECT_THROW(ServingPool(fx.program, EngineKind::kReference, options),
                  ContractViolation);
   }
-  {
-    ServingPoolOptions options;
-    options.quarantine_after_failures = 1;
-    options.degrade_after_failures = 2;  // degrade above quarantine
-    EXPECT_THROW(ServingPool(fx.program, EngineKind::kReference, options),
-                 ContractViolation);
-  }
   // Durations past kMaxDeadlineMs would overflow their steady_clock
-  // conversion, under every policy.
+  // conversion.
   for (int field = 0; field < 3; ++field) {
     SCOPED_TRACE("field " + std::to_string(field));
     ServingPoolOptions options;
-    options.policy = AdmissionPolicy::kBatch;
     if (field == 0) options.max_wait_ms = 1e300;
     if (field == 1) options.backoff_base_ms = options.backoff_cap_ms = 1e300;
     if (field == 2) options.backoff_cap_ms = 1e300;

@@ -10,7 +10,9 @@
 // engine::ServingPool built from the shared serving flag table
 // (serve/serve_flags.hpp): one engine and one dispatcher thread per replica.
 // Replicas are how the daemon spends host cores; each dispatch, batched or
-// not, runs on its replica's one thread.
+// not, runs on its replica's one thread. --policy names a dispatch size and
+// what a full queue does: fifo dispatches one request at a time, batch up to
+// --max-batch, and reject is fifo whose full queue sheds instead of blocking.
 // Clients load further models, hot-swap running ones, and push inference
 // with rsnn_client (or anything speaking the frame format).
 //
@@ -144,12 +146,13 @@ int serve_main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", start_error.c_str());
     return 1;
   }
+  const engine::ServingPoolOptions& pool = registry.options().pool;
   std::printf(
       "rsnn_serve listening on 127.0.0.1:%d (%s engine, %d replica(s) per "
-      "model, %s admission)\n",
+      "model, up to %zu request(s) per dispatch, full queue %s)\n",
       server.port(), engine::engine_name(registry.options().kind),
-      registry.options().pool.replicas,
-      engine::policy_name(registry.options().pool.policy));
+      pool.replicas, pool.max_batch,
+      pool.on_full == engine::OnFull::kReject ? "rejects" : "blocks");
   std::fflush(stdout);
 
   // SIGINT just flips a flag; this loop (not the handler) does the
